@@ -10,7 +10,6 @@
 //                  [--trace-out=<json>] [--trace-txt=<txt>]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <map>
@@ -20,6 +19,7 @@
 #include <vector>
 
 #include "apps/rkv/rkv_actors.h"
+#include "harness/acceptance.h"
 #include "harness/trace_opts.h"
 #include "netsim/chaos.h"
 #include "testbed/cluster.h"
@@ -86,12 +86,6 @@ netsim::FaultPlan default_plan(std::uint64_t seed, Ns total) {
   return plan;
 }
 
-const char* flag_value(const char* arg, const char* name) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') return arg + n + 1;
-  return nullptr;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,13 +95,13 @@ int main(int argc, char** argv) {
   const bench::TraceOpts trace = bench::parse_trace_opts(argc, argv);
 
   for (int i = 1; i < argc; ++i) {
-    if (const char* v = flag_value(argv[i], "--seed")) {
+    if (const char* v = bench::flag_value(argv[i], "--seed")) {
       seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = flag_value(argv[i], "--duration-s")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--duration-s")) {
       duration_s = std::strtod(v, nullptr);
-    } else if (const char* v = flag_value(argv[i], "--plan")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--plan")) {
       plan_text = v;
-    } else if (const char* v = flag_value(argv[i], "--plan-file")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--plan-file")) {
       std::ifstream in(v);
       if (!in) {
         std::fprintf(stderr, "chaos_recovery: cannot open plan file %s\n", v);

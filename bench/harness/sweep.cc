@@ -45,8 +45,7 @@ SweepOpts parse_sweep_opts(int argc, char** argv) {
           "                   stdout stays byte-identical to --jobs=1\n"
           "  --sim-threads=N  parallel event-engine workers per sim point\n"
           "                   (default 1); results are byte-identical for\n"
-          "                   any N on multi-domain (ParallelCluster)\n"
-          "                   benches\n"
+          "                   any N on domain-per-node-layout benches\n"
           "  --bench-json=P   write a machine-readable perf baseline to P\n"
           "  --help           this text\n"
           "when --sim-threads > 1, jobs x sim-threads is clamped to\n"

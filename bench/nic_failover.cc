@@ -20,7 +20,6 @@
 // --p99-factor x the healthy baseline.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <set>
@@ -28,6 +27,7 @@
 #include <vector>
 
 #include "apps/rkv/rkv_actors.h"
+#include "harness/acceptance.h"
 #include "netsim/chaos.h"
 #include "testbed/cluster.h"
 #include "workloads/app_workloads.h"
@@ -39,22 +39,6 @@ namespace {
 constexpr int kReplicas = 3;           // nodes 0..2
 constexpr int kEchoNode = kReplicas;   // node 3: latency probe target
 constexpr std::uint64_t kSeqMask = (1ULL << 40) - 1;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  return fnv1a(h, s.data(), s.size());
-}
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv1a(h, &v, sizeof(v));
-}
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
 
 std::string fo_key(std::uint64_t k) { return "fo" + std::to_string(k); }
 
@@ -72,12 +56,6 @@ class EchoActor final : public Actor {
   }
 };
 
-const char* flag_value(const char* arg, const char* name) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') return arg + n + 1;
-  return nullptr;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -86,14 +64,14 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   double p99_factor = 50.0;
   for (int i = 1; i < argc; ++i) {
-    if (const char* v = flag_value(argv[i], "--sim-threads")) {
+    if (const char* v = bench::flag_value(argv[i], "--sim-threads")) {
       const long n = std::strtol(v, nullptr, 10);
       sim_threads = n > 1 ? static_cast<unsigned>(n) : 1;
-    } else if (const char* v = flag_value(argv[i], "--duration-s")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--duration-s")) {
       duration_s = std::strtod(v, nullptr);
-    } else if (const char* v = flag_value(argv[i], "--seed")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--seed")) {
       seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = flag_value(argv[i], "--p99-factor")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--p99-factor")) {
       p99_factor = std::strtod(v, nullptr);
     }
   }
@@ -105,7 +83,7 @@ int main(int argc, char** argv) {
   const Ns write_end = total - sec(3);
   const Ns verify_at = write_end + msec(500);
 
-  testbed::ParallelCluster cluster;
+  testbed::Cluster cluster(testbed::Layout::kDomainPerNode);
   cluster.set_threads(sim_threads);
   for (int i = 0; i <= kEchoNode; ++i) {
     testbed::ServerSpec spec;
@@ -314,7 +292,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(chaos->nic_crashes()),
               static_cast<unsigned long long>(chaos->nic_restores()));
 
-  std::uint64_t results = kFnvBasis;
+  std::uint64_t results = bench::kFnvBasis;
   std::uint64_t trips = 0;
   std::uint64_t evacs = 0;
   std::uint64_t reoffloads = 0;
@@ -333,11 +311,11 @@ int main(int argc, char** argv) {
     trips += rt.watchdog_trips();
     evacs += rt.evacuations();
     reoffloads += rt.reoffloads();
-    results = fnv1a_u64(results, rt.watchdog_trips());
-    results = fnv1a_u64(results, rt.evacuations());
-    results = fnv1a_u64(results, rt.evac_replayed_bytes());
-    results = fnv1a_u64(results, rt.evac_lost_bytes());
-    results = fnv1a_u64(results, rt.reoffloads());
+    results = bench::fnv1a_u64(results, rt.watchdog_trips());
+    results = bench::fnv1a_u64(results, rt.evacuations());
+    results = bench::fnv1a_u64(results, rt.evac_replayed_bytes());
+    results = bench::fnv1a_u64(results, rt.evac_lost_bytes());
+    results = bench::fnv1a_u64(results, rt.reoffloads());
   }
   const std::uint64_t unverified =
       acked.size() - static_cast<std::size_t>(verified + lost + corrupt);
@@ -352,18 +330,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(probe.completed()),
               static_cast<unsigned long long>(healthy_p99),
               static_cast<unsigned long long>(probe.latencies().p99()));
-  results = fnv1a_u64(results, acked.size());
-  results = fnv1a_u64(results, verified);
-  results = fnv1a_u64(results, lost);
-  results = fnv1a_u64(results, corrupt);
-  results = fnv1a_u64(results, writer.retransmits());
-  results = fnv1a_u64(results, probe.completed());
-  results = fnv1a_u64(results, probe.latencies().p50());
-  results = fnv1a_u64(results, probe.latencies().p99());
-  for (const std::uint64_t k : acked) results = fnv1a_u64(results, k);
+  results = bench::fnv1a_u64(results, acked.size());
+  results = bench::fnv1a_u64(results, verified);
+  results = bench::fnv1a_u64(results, lost);
+  results = bench::fnv1a_u64(results, corrupt);
+  results = bench::fnv1a_u64(results, writer.retransmits());
+  results = bench::fnv1a_u64(results, probe.completed());
+  results = bench::fnv1a_u64(results, probe.latencies().p50());
+  results = bench::fnv1a_u64(results, probe.latencies().p99());
+  for (const std::uint64_t k : acked) results = bench::fnv1a_u64(results, k);
 
   const std::uint64_t chaos_digest =
-      fnv1a_str(kFnvBasis, chaos->event_log_text());
+      bench::fnv1a_str(bench::kFnvBasis, chaos->event_log_text());
   std::printf("digest chaos=%016llx results=%016llx\n",
               static_cast<unsigned long long>(chaos_digest),
               static_cast<unsigned long long>(results));

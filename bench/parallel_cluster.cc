@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <set>
@@ -24,6 +23,7 @@
 
 #include "apps/rkv/rkv_actors.h"
 #include "common/trace.h"
+#include "harness/acceptance.h"
 #include "netsim/chaos.h"
 #include "testbed/cluster.h"
 #include "workloads/app_workloads.h"
@@ -38,22 +38,6 @@ constexpr int kRkvServers = kGroups * kReplicas;  // nodes 0..11
 constexpr int kEchoServers = 4;                   // nodes 12..15
 constexpr int kServers = kRkvServers + kEchoServers;
 constexpr std::uint64_t kSeqMask = (1ULL << 40) - 1;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  return fnv1a(h, s.data(), s.size());
-}
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv1a(h, &v, sizeof(v));
-}
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
 
 std::string group_key(int group, std::uint64_t k) {
   return "g" + std::to_string(group) + "k" + std::to_string(k);
@@ -77,12 +61,6 @@ struct GroupWriter {
   workloads::ClientGen* client = nullptr;
 };
 
-const char* flag_value(const char* arg, const char* name) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') return arg + n + 1;
-  return nullptr;
-}
-
 class EchoActor final : public Actor {
  public:
   EchoActor() : Actor("echo") {}
@@ -101,16 +79,16 @@ int main(int argc, char** argv) {
   std::uint64_t min_events = 0;
   std::string wall_out;
   for (int i = 1; i < argc; ++i) {
-    if (const char* v = flag_value(argv[i], "--sim-threads")) {
+    if (const char* v = bench::flag_value(argv[i], "--sim-threads")) {
       const long n = std::strtol(v, nullptr, 10);
       sim_threads = n > 1 ? static_cast<unsigned>(n) : 1;
-    } else if (const char* v = flag_value(argv[i], "--duration-s")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--duration-s")) {
       duration_s = std::strtod(v, nullptr);
-    } else if (const char* v = flag_value(argv[i], "--seed")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--seed")) {
       seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = flag_value(argv[i], "--min-events")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--min-events")) {
       min_events = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = flag_value(argv[i], "--wall-out")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--wall-out")) {
       wall_out = v;
     }
   }
@@ -121,7 +99,7 @@ int main(int argc, char** argv) {
   const Ns total = sec(duration_s);
   const Ns write_end = total - sec(duration_s * 0.2);
 
-  testbed::ParallelCluster cluster;
+  testbed::Cluster cluster(testbed::Layout::kDomainPerNode);
   cluster.set_threads(sim_threads);
   for (int i = 0; i < kServers; ++i) {
     testbed::ServerSpec spec;
@@ -292,15 +270,17 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(cluster.net().frames_dropped()),
       static_cast<unsigned long long>(cluster.net().frames_corrupted()));
 
-  std::uint64_t results = kFnvBasis;
+  std::uint64_t results = bench::kFnvBasis;
   bool lost = false;
   for (int g = 0; g < kGroups; ++g) {
     const GroupWriter& gw = groups[static_cast<std::size_t>(g)];
     std::printf("group %d: acked=%zu retx=%llu\n", g, gw.acked.size(),
                 static_cast<unsigned long long>(gw.client->retransmits()));
-    results = fnv1a_u64(results, gw.acked.size());
-    results = fnv1a_u64(results, gw.client->retransmits());
-    for (const std::uint64_t k : gw.acked) results = fnv1a_u64(results, k);
+    results = bench::fnv1a_u64(results, gw.acked.size());
+    results = bench::fnv1a_u64(results, gw.client->retransmits());
+    for (const std::uint64_t k : gw.acked) {
+      results = bench::fnv1a_u64(results, k);
+    }
     if (gw.acked.empty()) lost = true;  // a group that never acked is dead
   }
   for (int e = 0; e < kEchoServers; ++e) {
@@ -309,9 +289,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(c.completed()),
                 static_cast<unsigned long long>(c.latencies().p50()),
                 static_cast<unsigned long long>(c.latencies().p99()));
-    results = fnv1a_u64(results, c.completed());
-    results = fnv1a_u64(results, c.latencies().p50());
-    results = fnv1a_u64(results, c.latencies().p99());
+    results = bench::fnv1a_u64(results, c.completed());
+    results = bench::fnv1a_u64(results, c.latencies().p50());
+    results = bench::fnv1a_u64(results, c.latencies().p99());
   }
   std::printf("chaos crashes=%llu restores=%llu partitions=%llu heals=%llu\n",
               static_cast<unsigned long long>(chaos->crashes()),
@@ -320,13 +300,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(chaos->heals()));
 
   const std::uint64_t chaos_digest =
-      fnv1a_str(kFnvBasis, chaos->event_log_text());
+      bench::fnv1a_str(bench::kFnvBasis, chaos->event_log_text());
   std::ostringstream traces;
   trace::export_text(traces, cluster.server(0).runtime().tracer(),
                      &cluster.server(0).runtime().metrics());
   trace::export_text(traces, cluster.server(kRkvServers).runtime().tracer(),
                      &cluster.server(kRkvServers).runtime().metrics());
-  const std::uint64_t trace_digest = fnv1a_str(kFnvBasis, traces.str());
+  const std::uint64_t trace_digest =
+      bench::fnv1a_str(bench::kFnvBasis, traces.str());
   std::printf("digest chaos=%016llx trace=%016llx results=%016llx\n",
               static_cast<unsigned long long>(chaos_digest),
               static_cast<unsigned long long>(trace_digest),

@@ -25,12 +25,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "apps/rkv/hot_cache.h"
 #include "apps/rkv/rkv_actors.h"
+#include "harness/acceptance.h"
 #include "ipipe/shard.h"
 #include "netsim/chaos.h"
 #include "testbed/cluster.h"
@@ -41,28 +41,6 @@ using namespace ipipe;
 namespace {
 
 constexpr int kReplicas = 3;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  return fnv1a(h, s.data(), s.size());
-}
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv1a(h, &v, sizeof(v));
-}
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
-
-const char* flag_value(const char* arg, const char* name) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') return arg + n + 1;
-  return nullptr;
-}
 
 }  // namespace
 
@@ -75,20 +53,20 @@ int main(int argc, char** argv) {
   std::string wall_out;
   std::string json_out;
   for (int i = 1; i < argc; ++i) {
-    if (const char* v = flag_value(argv[i], "--sim-threads")) {
+    if (const char* v = bench::flag_value(argv[i], "--sim-threads")) {
       const long n = std::strtol(v, nullptr, 10);
       sim_threads = n > 1 ? static_cast<unsigned>(n) : 1;
-    } else if (const char* v = flag_value(argv[i], "--duration-s")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--duration-s")) {
       duration_s = std::strtod(v, nullptr);
-    } else if (const char* v = flag_value(argv[i], "--seed")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--seed")) {
       seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = flag_value(argv[i], "--groups")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--groups")) {
       groups = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (const char* v = flag_value(argv[i], "--min-events")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--min-events")) {
       min_events = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = flag_value(argv[i], "--wall-out")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--wall-out")) {
       wall_out = v;
-    } else if (const char* v = flag_value(argv[i], "--json-out")) {
+    } else if (const char* v = bench::flag_value(argv[i], "--json-out")) {
       json_out = v;
     }
   }
@@ -110,7 +88,7 @@ int main(int argc, char** argv) {
   // grant/copy/revoke rounds land well inside the run.
   const Ns rebalance_at = total * 3 / 10;
 
-  testbed::ParallelCluster cluster;
+  testbed::Cluster cluster(testbed::Layout::kDomainPerNode);
   cluster.set_threads(sim_threads);
   for (int i = 0; i < servers; ++i) {
     testbed::ServerSpec spec;
@@ -309,7 +287,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(chaos->partitions()),
               static_cast<unsigned long long>(chaos->heals()));
 
-  std::uint64_t results = kFnvBasis;
+  std::uint64_t results = bench::kFnvBasis;
   for (const std::uint64_t v :
        {gen.sent(), gen.completed(), gen.gets_sent(), gen.puts_sent(),
         gen.acked_writes(), gen.retransmits(), gen.notleader_redirects(),
@@ -317,16 +295,16 @@ int main(int argc, char** argv) {
         gen.abandoned_writes(), gen.distinct_clients(), gen.stale_reads(),
         gen.lost_acked(), gen.rebalances_done(), gen.latencies().p50(),
         gen.latencies().p99(), hits, misses, fills, invals, wipes}) {
-    results = fnv1a_u64(results, v);
+    results = bench::fnv1a_u64(results, v);
   }
   // The whole acked-floor table: any divergence in commit order or copy
   // fidelity across thread counts lands in this digest.
-  std::uint64_t floors = kFnvBasis;
+  std::uint64_t floors = bench::kFnvBasis;
   for (std::uint32_t k = 0; k < wp.key_space; ++k) {
-    floors = fnv1a_u64(floors, gen.key_floor(k));
+    floors = bench::fnv1a_u64(floors, gen.key_floor(k));
   }
   const std::uint64_t chaos_digest =
-      fnv1a_str(kFnvBasis, chaos->event_log_text());
+      bench::fnv1a_str(bench::kFnvBasis, chaos->event_log_text());
   std::printf("digest chaos=%016llx results=%016llx floors=%016llx\n",
               static_cast<unsigned long long>(chaos_digest),
               static_cast<unsigned long long>(results),

@@ -404,16 +404,14 @@ class Runtime {
     metrics_.set_period(metrics_period);
   }
 
-  /// Register this runtime's parallel-engine domain (ParallelCluster
-  /// wiring).  Metrics snapshots then include the domain's engine
-  /// counters — events, window stalls, handoff traffic, lookahead — so
-  /// parallel-efficiency regressions show up in exported traces.
+  /// Register this runtime's parallel-engine domain (the testbed's
+  /// domain-per-node layout).  Metrics snapshots then include the
+  /// domain's engine counters — events, window stalls, handoff traffic,
+  /// lookahead — so parallel-efficiency regressions show up in exported
+  /// traces.
   void set_engine(sim::ParallelSimulation* psim, sim::DomainId domain) {
     engine_ = psim;
     engine_domain_ = domain;
-  }
-  [[nodiscard]] sim::DomainId engine_domain() const noexcept {
-    return engine_domain_;
   }
 
   // ---- internals shared with env/adapters (not for applications) -----------

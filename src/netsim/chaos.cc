@@ -399,25 +399,11 @@ std::string FaultPlan::to_text() const {
 // ------------------------------------------------------- ChaosController --
 
 sim::Simulation& ChaosController::action_sim(const FaultAction& a) {
-  if (!net_.sharded()) return sim_;
   // Node-scoped actions run where the node's state lives; fabric-scoped
-  // ones on the switch domain that owns partitions and the fault model.
-  switch (a.kind) {
-    case FaultAction::Kind::kCrash:
-    case FaultAction::Kind::kPcieCorrupt:
-    case FaultAction::Kind::kNicCrash:
-    case FaultAction::Kind::kNicReset:
-    case FaultAction::Kind::kPcieFlap:
-    case FaultAction::Kind::kAccelFail: {
-      const sim::DomainId d = net_.node_domain(a.node);
-      if (d != sim::kNoDomain) return net_.engine()->domain(d);
-      return sim_;
-    }
-    case FaultAction::Kind::kPartition:
-    case FaultAction::Kind::kLinkFault:
-      return net_.engine()->domain(net_.switch_domain());
-  }
-  return sim_;
+  // ones on the switch's queue, which owns partitions and the fault model.
+  const bool fabric = a.kind == FaultAction::Kind::kPartition ||
+                      a.kind == FaultAction::Kind::kLinkFault;
+  return fabric ? sim_ : net_.node_sim(a.node);
 }
 
 void ChaosController::execute(const FaultPlan& plan) {
@@ -666,9 +652,13 @@ void ChaosController::log_line(Ns t, std::uint64_t seq, std::string line) {
 }
 
 void ChaosController::trace_event(const char* name, double arg) {
-  // Sharded runs skip the tracer: one ring cannot take concurrent
-  // appends, and per-domain engine counters cover the visibility need.
-  if (tracer_ == nullptr || !tracer_->enabled() || net_.sharded()) return;
+  // Actions on parallel-engine workers skip the tracer: one ring cannot
+  // take concurrent appends, and per-domain engine counters cover the
+  // visibility need.
+  if (tracer_ == nullptr || !tracer_->enabled() ||
+      sim::ParallelSimulation::current_domain() != sim::kNoDomain) {
+    return;
+  }
   tracer_->instant(trace::Cat::kChaos, name, trace::tid::kChaos, 0,
                    {"v", arg});
 }

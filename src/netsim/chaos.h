@@ -117,15 +117,16 @@ struct NodeHooks {
   std::function<void(std::uint32_t, bool)> accel_fail;
 };
 
-/// Against a sharded fabric the controller becomes multi-domain aware:
-/// node-scoped actions (crash, restore, pcie-corrupt) are scheduled on
-/// the target node's engine domain, fabric-scoped ones (partition, heal,
-/// link-fault) on the switch domain that owns the partition set and the
-/// fault model.  Log lines from different domains merge under a mutex
-/// keyed by (virtual time, plan sequence), so `event_log()` stays
+/// `sim` is the switch's queue (`net.sim()`).  Node-scoped actions
+/// (crash, restore, pcie-corrupt, NIC faults) are scheduled on the target
+/// node's queue (`Network::node_sim`), fabric-scoped ones (partition,
+/// heal, link-fault) on the switch's, which owns the partition set and
+/// the fault model; on a sharded fabric these are different engine
+/// domains.  Log lines from different domains merge under a mutex keyed
+/// by (virtual time, plan sequence), so `event_log()` stays
 /// byte-identical across thread counts; the down flags and counters are
-/// atomics.  The tracer hook is ignored in sharded mode (one Tracer
-/// cannot take concurrent appends).
+/// atomics.  The tracer hook is ignored for actions that run on
+/// parallel-engine workers (one Tracer cannot take concurrent appends).
 class ChaosController {
  public:
   ChaosController(sim::Simulation& sim, Network& net) : sim_(sim), net_(net) {}
@@ -168,10 +169,9 @@ class ChaosController {
   }
 
  private:
-  /// `s` is the domain queue the action executes on (the node's domain /
-  /// the switch domain when sharded; `sim_` otherwise).  `seq` is the
-  /// action's plan-order sequence, the deterministic tie-break for log
-  /// lines that share a timestamp.
+  /// `s` is the queue the action executes on (see action_sim).  `seq` is
+  /// the action's plan-order sequence, the deterministic tie-break for
+  /// log lines that share a timestamp.
   void fire_crash(sim::Simulation& s, const FaultAction& a, std::uint64_t seq);
   void fire_partition(sim::Simulation& s, const FaultAction& a,
                       std::uint64_t seq);
@@ -185,7 +185,8 @@ class ChaosController {
                       std::uint64_t seq);
   void fire_accel_fail(sim::Simulation& s, const FaultAction& a,
                        std::uint64_t seq);
-  /// Domain an action schedules on (multi-domain dispatch when sharded).
+  /// Queue an action schedules on: the node's for node-scoped actions,
+  /// the switch's for fabric-scoped ones.
   [[nodiscard]] sim::Simulation& action_sim(const FaultAction& a);
   void log_line(Ns t, std::uint64_t seq, std::string line);
   void trace_event(const char* name, double arg);

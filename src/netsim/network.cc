@@ -1,5 +1,6 @@
 #include "netsim/network.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/logging.h"
@@ -54,138 +55,158 @@ bool Network::pair_blocked(NodeId a, NodeId b) const {
          blocked_pairs_.count(pair_key(a, b)) != 0;
 }
 
+namespace {
+
+void bump(std::atomic<std::uint64_t>& counter) {
+  counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// Serialize a frame on a link direction that is free from `busy_until`
+/// and can start at `ready`; returns (and records) when it is done.
+Ns serialize(Ns& busy_until, Ns ready, std::uint32_t frame, double gbps) {
+  busy_until = std::max(ready, busy_until) + wire_time(frame, gbps);
+  return busy_until;
+}
+
+}  // namespace
+
+sim::Simulation& Network::node_sim(NodeId node) {
+  if (!sharded()) return sim_;
+  const auto it = ports_.find(node);
+  return it == ports_.end() ? sim_ : psim_->domain(it->second.domain);
+}
+
 void Network::send(PacketPtr pkt) {
   assert(pkt != nullptr);
-  if (sharded()) {
-    send_sharded(std::move(pkt));
-    return;
-  }
-  ++frames_sent_;
-
+  bump(frames_sent_);
   const auto src_it = ports_.find(pkt->src);
   const auto dst_it = ports_.find(pkt->dst);
   if (src_it == ports_.end() || dst_it == ports_.end()) {
-    ++dropped_unknown_endpoint_;
+    bump(dropped_unknown_endpoint_);
     LOG_DEBUG("drop: unknown endpoint %u -> %u", pkt->src, pkt->dst);
     return;
   }
-
-  if (pair_blocked(pkt->src, pkt->dst)) {
-    ++dropped_partition_;
-    return;
-  }
-
-  if (faults_.drop_prob > 0.0 && rng_.bernoulli(faults_.drop_prob)) {
-    ++dropped_fault_;
-    return;
-  }
-
-  const bool duplicate =
-      faults_.dup_prob > 0.0 && rng_.bernoulli(faults_.dup_prob);
-
   PortState& src_port = src_it->second;
+
+  if (sharded()) {
+    // Hop 1, on the source's domain: serialize on the uplink (the source
+    // port's tx state belongs to the sender), then hand off to the switch
+    // domain after the ingress half-latency.
+    const Ns tx_done =
+        serialize(src_port.tx_busy_until, psim_->domain(src_port.domain).now(),
+                  pkt->frame_size, src_port.gbps);
+    psim_->post(switch_domain_, tx_done + switch_in_,
+                [this, p = std::move(pkt)]() mutable {
+                  switch_hop(std::move(p));
+                });
+    return;
+  }
+
+  // Single queue: the switch decides at send time.  A frame it eats never
+  // occupies the links.
+  SwitchVerdict v;
+  if (!switch_decide(*pkt, v)) return;
   PortState& dst_port = dst_it->second;
   const Ns now = sim_.now();
-
-  const Ns tx_start = std::max(now, src_port.tx_busy_until);
-  const Ns tx_done = tx_start + wire_time(pkt->frame_size, src_port.gbps);
-  src_port.tx_busy_until = tx_done;
-
-  const Ns at_switch = tx_done + switch_latency_;
-  const Ns rx_start = std::max(at_switch, dst_port.rx_busy_until);
-  const Ns rx_done = rx_start + wire_time(pkt->frame_size, dst_port.gbps);
-  dst_port.rx_busy_until = rx_done;
-
-  Ns jitter = 0;
-  if (faults_.reorder_jitter > 0) {
-    jitter = rng_.uniform_u64(faults_.reorder_jitter + 1);
-  }
-
-  // Each delivered instance (primary and any duplicate) can be corrupted
-  // independently — they traverse the fabric as separate frames.
-  if (duplicate) {
-    auto copy = pool_.make(*pkt);
-    const bool corrupt_dup =
-        faults_.corrupt_prob > 0.0 && rng_.bernoulli(faults_.corrupt_prob);
-    if (corrupt_dup) corrupt_payload(*copy);
-    deliver(std::move(copy), rx_done - now + jitter, corrupt_dup);
-  }
-  const bool corrupt =
-      faults_.corrupt_prob > 0.0 && rng_.bernoulli(faults_.corrupt_prob);
-  if (corrupt) corrupt_payload(*pkt);
-  deliver(std::move(pkt), rx_done - now + jitter, corrupt);
+  const Ns tx_done =
+      serialize(src_port.tx_busy_until, now, pkt->frame_size, src_port.gbps);
+  const Ns rx_done =
+      serialize(dst_port.rx_busy_until, tx_done + switch_latency_,
+                pkt->frame_size, dst_port.gbps);
+  const Ns delay = rx_done - now + v.jitter;
+  if (v.dup) deliver(std::move(v.dup), delay, v.dup_corrupt);
+  deliver(std::move(pkt), delay, v.corrupt);
 }
 
-void Network::corrupt_payload(Packet& pkt) {
-  if (pkt.payload.empty()) return;
+// The switch, in both modes.  All fault randomness draws from the
+// switch-owned RNG here, in one order: drop, dup, jitter, then the
+// corrupt draw (and bit flip) of the duplicate and of the original —
+// each delivered instance crosses the fabric as its own frame.  Sharded,
+// the canonical handoff drain order makes the draw sequence, and so every
+// fault outcome, a pure function of the workload, independent of thread
+// count.
+bool Network::switch_decide(Packet& pkt, SwitchVerdict& v) {
+  if (pair_blocked(pkt.src, pkt.dst)) {
+    bump(dropped_partition_);
+    return false;
+  }
+  if (faults_.drop_prob > 0.0 && rng_.bernoulli(faults_.drop_prob)) {
+    bump(dropped_fault_);
+    return false;
+  }
+  const bool duplicate =
+      faults_.dup_prob > 0.0 && rng_.bernoulli(faults_.dup_prob);
+  if (faults_.reorder_jitter > 0) {
+    v.jitter = rng_.uniform_u64(faults_.reorder_jitter + 1);
+  }
+  if (duplicate) {
+    v.dup = pool_.make(pkt);
+    v.dup_corrupt = draw_corrupt(*v.dup);
+  }
+  v.corrupt = draw_corrupt(pkt);
+  return true;
+}
+
+bool Network::draw_corrupt(Packet& pkt) {
+  if (faults_.corrupt_prob <= 0.0 || !rng_.bernoulli(faults_.corrupt_prob)) {
+    return false;
+  }
+  if (pkt.payload.empty()) return true;
   const std::size_t byte = rng_.uniform_u64(pkt.payload.size());
   const std::uint8_t bit = static_cast<std::uint8_t>(rng_.uniform_u64(8));
   pkt.payload[byte] ^= static_cast<std::uint8_t>(1u << bit);
+  return true;
 }
 
-// ---------------------------------------------------------------------------
-// Sharded mode: the frame takes three hops, each owned by one domain.
-// ---------------------------------------------------------------------------
+Network::PortState* Network::live_port(NodeId node) {
+  const auto it = ports_.find(node);
+  if (it == ports_.end() || !it->second.up || it->second.ep == nullptr) {
+    return nullptr;
+  }
+  return &it->second;
+}
 
-// Hop 1, on the source's domain: serialize on the uplink (the source
-// port's tx state belongs to the sender), then hand off to the switch
-// domain after the ingress half-latency.
-void Network::send_sharded(PacketPtr pkt) {
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  const auto src_it = ports_.find(pkt->src);
-  const auto dst_it = ports_.find(pkt->dst);
-  if (src_it == ports_.end() || dst_it == ports_.end()) {
-    dropped_unknown_endpoint_.fetch_add(1, std::memory_order_relaxed);
-    LOG_DEBUG("drop: unknown endpoint %u -> %u", pkt->src, pkt->dst);
+void Network::land(PacketPtr pkt, bool corrupt, sim::Simulation& s) {
+  PortState* port = live_port(pkt->dst);
+  if (port == nullptr) {
+    bump(dropped_node_down_);
     return;
   }
-  PortState& src_port = src_it->second;
-  const Ns now = psim_->domain(src_port.domain).now();
-  const Ns tx_start = std::max(now, src_port.tx_busy_until);
-  const Ns tx_done = tx_start + wire_time(pkt->frame_size, src_port.gbps);
-  src_port.tx_busy_until = tx_done;
-  psim_->post(switch_domain_, tx_done + switch_in_,
-              [this, p = std::move(pkt)]() mutable {
-                switch_hop(std::move(p));
-              });
+  if (corrupt) {
+    // The frame occupied the wire, but the MAC's FCS check rejects the
+    // flipped payload — the endpoint never sees it.
+    bump(dropped_corrupt_);
+    return;
+  }
+  bump(frames_delivered_);
+  pkt->nic_arrival = s.now();
+  port->ep->receive(std::move(pkt));
 }
 
-// Hop 2, on the switch domain: partition and fault decisions.  All fault
-// randomness draws from the switch-owned RNG here; the canonical handoff
-// drain order makes the draw sequence — and so every fault outcome — a
-// pure function of the workload, independent of thread count.
+void Network::deliver(PacketPtr pkt, Ns delay, bool corrupt) {
+  // InlineFn takes move-only captures, so the frame rides inside the
+  // event itself — no allocation, no shared_ptr shim.
+  sim_.schedule(delay, [this, corrupt, p = std::move(pkt)]() mutable {
+    land(std::move(p), corrupt, sim_);
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Sharded mode: hops 2 and 3, each owned by one domain.
+// ---------------------------------------------------------------------------
+
+// Hop 2, on the switch domain.
 void Network::switch_hop(PacketPtr pkt) {
-  if (pair_blocked(pkt->src, pkt->dst)) {
-    dropped_partition_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (faults_.drop_prob > 0.0 && rng_.bernoulli(faults_.drop_prob)) {
-    dropped_fault_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const bool duplicate =
-      faults_.dup_prob > 0.0 && rng_.bernoulli(faults_.dup_prob);
-  Ns jitter = 0;
-  if (faults_.reorder_jitter > 0) {
-    jitter = rng_.uniform_u64(faults_.reorder_jitter + 1);
-  }
-  if (duplicate) {
-    auto copy = pool_.make(*pkt);
-    const bool corrupt_dup =
-        faults_.corrupt_prob > 0.0 && rng_.bernoulli(faults_.corrupt_prob);
-    if (corrupt_dup) corrupt_payload(*copy);
-    post_to_dst(std::move(copy), jitter, corrupt_dup);
-  }
-  const bool corrupt =
-      faults_.corrupt_prob > 0.0 && rng_.bernoulli(faults_.corrupt_prob);
-  if (corrupt) corrupt_payload(*pkt);
-  post_to_dst(std::move(pkt), jitter, corrupt);
+  SwitchVerdict v;
+  if (!switch_decide(*pkt, v)) return;
+  if (v.dup) post_to_dst(std::move(v.dup), v.jitter, v.dup_corrupt);
+  post_to_dst(std::move(pkt), v.jitter, v.corrupt);
 }
 
 void Network::post_to_dst(PacketPtr pkt, Ns jitter, bool corrupt) {
   const auto it = ports_.find(pkt->dst);
   if (it == ports_.end()) {
-    dropped_node_down_.fetch_add(1, std::memory_order_relaxed);
+    bump(dropped_node_down_);
     return;
   }
   const sim::DomainId dst_domain = it->second.domain;
@@ -196,55 +217,21 @@ void Network::post_to_dst(PacketPtr pkt, Ns jitter, bool corrupt) {
 }
 
 // Hop 3, on the destination's domain: the up/down check and rx
-// serialization use destination-owned state, then the frame delivers (or
-// the FCS check eats a corrupted one) once its downlink time is paid.
+// serialization use destination-owned state, then the frame lands once
+// its downlink time is paid.
 void Network::arrive(PacketPtr pkt, bool corrupt) {
-  const auto it = ports_.find(pkt->dst);
-  if (it == ports_.end() || !it->second.up || it->second.ep == nullptr) {
-    dropped_node_down_.fetch_add(1, std::memory_order_relaxed);
+  PortState* port = live_port(pkt->dst);
+  if (port == nullptr) {
+    bump(dropped_node_down_);
     return;
   }
-  PortState& port = it->second;
-  sim::Simulation& dsim = psim_->domain(port.domain);
-  const Ns now = dsim.now();
-  const Ns rx_start = std::max(now, port.rx_busy_until);
-  const Ns rx_done = rx_start + wire_time(pkt->frame_size, port.gbps);
-  port.rx_busy_until = rx_done;
-  dsim.schedule_at(rx_done, [this, corrupt, p = std::move(pkt)]() mutable {
-    const auto dit = ports_.find(p->dst);
-    if (dit == ports_.end() || !dit->second.up || dit->second.ep == nullptr) {
-      dropped_node_down_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (corrupt) {
-      dropped_corrupt_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    frames_delivered_.fetch_add(1, std::memory_order_relaxed);
-    p->nic_arrival = psim_->domain(dit->second.domain).now();
-    dit->second.ep->receive(std::move(p));
-  });
-}
-
-void Network::deliver(PacketPtr pkt, Ns delay, bool corrupt) {
-  // InlineFn takes move-only captures, so the frame rides inside the
-  // event itself — no allocation, no shared_ptr shim.
-  sim_.schedule(delay, [this, corrupt, p = std::move(pkt)]() mutable {
-    const auto it = ports_.find(p->dst);
-    if (it == ports_.end() || it->second.ep == nullptr) {
-      ++dropped_node_down_;
-      return;
-    }
-    if (corrupt) {
-      // The frame occupied the wire, but the MAC's FCS check rejects the
-      // flipped payload — the endpoint never sees it.
-      ++dropped_corrupt_;
-      return;
-    }
-    ++frames_delivered_;
-    p->nic_arrival = sim_.now();
-    it->second.ep->receive(std::move(p));
-  });
+  sim::Simulation& dsim = psim_->domain(port->domain);
+  const Ns rx_done = serialize(port->rx_busy_until, dsim.now(),
+                               pkt->frame_size, port->gbps);
+  dsim.schedule_at(rx_done,
+                   [this, corrupt, &dsim, p = std::move(pkt)]() mutable {
+                     land(std::move(p), corrupt, dsim);
+                   });
 }
 
 }  // namespace ipipe::netsim

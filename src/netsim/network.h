@@ -35,6 +35,10 @@
 // attach on an existing node updates in place, and the frame counters
 // are relaxed atomics (their sums are order-invariant, so deterministic
 // output may print them).
+//
+// Both modes make the switch's partition and fault decisions in one
+// function with one RNG draw order, so a single-queue and a sharded
+// fabric fed the same frame sequence reach the same fault outcomes.
 #pragma once
 
 #include <atomic>
@@ -70,12 +74,7 @@ struct FaultModel {
 class Network {
  public:
   Network(sim::Simulation& sim, Ns switch_latency = 300 /*ns*/)
-      : sim_(sim),
-        pool_(PacketPool::local()),
-        switch_latency_(switch_latency),
-        switch_in_(switch_latency / 2),
-        switch_out_(switch_latency - switch_latency / 2),
-        rng_(0xFAB51Cull) {}
+      : sim_(sim), switch_latency_(switch_latency) {}
 
   /// Sharded fabric for the parallel engine.  `switch_domain` must be a
   /// dedicated domain (it runs the switch events and owns the fault
@@ -87,11 +86,7 @@ class Network {
       : sim_(psim.domain(switch_domain)),
         psim_(&psim),
         switch_domain_(switch_domain),
-        pool_(PacketPool::local()),
-        switch_latency_(switch_latency),
-        switch_in_(switch_latency / 2),
-        switch_out_(switch_latency - switch_latency / 2),
-        rng_(0xFAB51Cull) {}
+        switch_latency_(switch_latency) {}
 
   /// Attach `ep` as `node` with a full-duplex link of `gbps`.  In
   /// sharded mode `domain` names the engine domain that owns the
@@ -159,22 +154,15 @@ class Network {
   [[nodiscard]] std::uint64_t frames_delivered() const noexcept {
     return frames_delivered_;
   }
+  /// The switch's queue (the only queue when single-queue).
   [[nodiscard]] sim::Simulation& sim() noexcept { return sim_; }
   /// Packet arena shared by this fabric's endpoints (workload clients
   /// draw their request frames from here).
   [[nodiscard]] PacketPool& pool() noexcept { return pool_; }
 
-  /// Sharded-mode surface (null / kNoDomain when single-queue).
-  [[nodiscard]] bool sharded() const noexcept { return psim_ != nullptr; }
-  [[nodiscard]] sim::ParallelSimulation* engine() noexcept { return psim_; }
-  [[nodiscard]] sim::DomainId switch_domain() const noexcept {
-    return switch_domain_;
-  }
-  /// Domain owning `node`'s endpoint (kNoDomain when unattached).
-  [[nodiscard]] sim::DomainId node_domain(NodeId node) const {
-    const auto it = ports_.find(node);
-    return it == ports_.end() ? sim::kNoDomain : it->second.domain;
-  }
+  /// Queue that runs `node`'s endpoint: its engine domain when sharded,
+  /// the one queue otherwise (and the switch's queue for an unknown node).
+  [[nodiscard]] sim::Simulation& node_sim(NodeId node);
   /// Declare the node<->switch lookahead edges on the engine.  Call once
   /// after every attach(), before the first run().
   void install_lookahead();
@@ -195,11 +183,28 @@ class Network {
     return (static_cast<std::uint64_t>(lo) << 32) | hi;
   }
 
-  void deliver(PacketPtr pkt, Ns extra_delay, bool corrupt);
-  /// Flip one random payload bit (corrupt_prob fault path).
-  void corrupt_payload(Packet& pkt);
+  /// What the switch decided for a frame it forwards.
+  struct SwitchVerdict {
+    PacketPtr dup;  ///< duplicate to deliver too (dup fault), or null
+    Ns jitter = 0;
+    bool corrupt = false;
+    bool dup_corrupt = false;
+  };
+
+  [[nodiscard]] bool sharded() const noexcept { return psim_ != nullptr; }
+  /// Partition and fault decisions for one frame; false when the switch
+  /// eats it (counted).  Fills `v` for a forwarded frame.
+  bool switch_decide(Packet& pkt, SwitchVerdict& v);
+  /// Draw the corrupt fault for one delivered instance; on a hit flip
+  /// one random payload bit (the FCS check discards it on landing).
+  bool draw_corrupt(Packet& pkt);
+  /// The port if it can take a frame (attached, up, with an endpoint).
+  [[nodiscard]] PortState* live_port(NodeId node);
+  /// Landing check at the destination port, on its queue `s`.
+  void land(PacketPtr pkt, bool corrupt, sim::Simulation& s);
+  /// Single queue: land after `delay`.
+  void deliver(PacketPtr pkt, Ns delay, bool corrupt);
   /// Sharded-mode hops (see file header).
-  void send_sharded(PacketPtr pkt);
   void switch_hop(PacketPtr pkt);
   void post_to_dst(PacketPtr pkt, Ns jitter, bool corrupt);
   void arrive(PacketPtr pkt, bool corrupt);
@@ -207,11 +212,13 @@ class Network {
   sim::Simulation& sim_;  ///< sharded mode: the switch domain's queue
   sim::ParallelSimulation* psim_ = nullptr;
   sim::DomainId switch_domain_ = sim::kNoDomain;
-  PacketPool& pool_;
+  PacketPool& pool_ = PacketPool::local();
   Ns switch_latency_;
-  Ns switch_in_;   ///< ingress half: node->switch edge lookahead
-  Ns switch_out_;  ///< egress half: switch->node edge lookahead
-  Rng rng_;        ///< switch-domain-owned in sharded mode
+  /// Ingress half: the node->switch edge lookahead.
+  Ns switch_in_ = switch_latency_ / 2;
+  /// Egress half: the switch->node edge lookahead.
+  Ns switch_out_ = switch_latency_ - switch_in_;
+  Rng rng_{0xFAB51Cull};  ///< switch-domain-owned in sharded mode
   sim::DomainId attach_domain_ = 0;
   FaultModel faults_;
   std::unordered_map<NodeId, PortState> ports_;

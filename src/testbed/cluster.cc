@@ -78,18 +78,51 @@ double ServerNode::nic_cores_used() const {
          static_cast<double>(window);
 }
 
+namespace {
+
+/// Add domain 0 (the whole cluster, or the switch) and the clients'
+/// domain; returns the latter.
+sim::DomainId add_base_domains(sim::ParallelSimulation& psim, Layout layout) {
+  if (layout == Layout::kSingleQueue) return psim.add_domain("cluster");
+  psim.add_domain("switch");
+  return psim.add_domain("clients");
+}
+
+}  // namespace
+
+Cluster::Cluster(Layout layout, Ns switch_latency)
+    : layout_(layout),
+      client_dom_(add_base_domains(psim_, layout)),
+      net_(layout == Layout::kSingleQueue
+               ? netsim::Network(psim_.domain(0), switch_latency)
+               : netsim::Network(psim_, 0, switch_latency)) {
+  // Every component arena-allocates from the constructing thread's pool;
+  // engine workers recycle frames concurrently.
+  if (layout_ == Layout::kDomainPerNode) net_.pool().set_concurrent(true);
+}
+
 ServerNode& Cluster::add_server(ServerSpec spec) {
   const auto id = static_cast<netsim::NodeId>(servers_.size());
-  servers_.push_back(std::make_unique<ServerNode>(sim_, net_, id, std::move(spec)));
-  return *servers_.back();
+  const bool own_domain = layout_ == Layout::kDomainPerNode;
+  const sim::DomainId d =
+      own_domain ? psim_.add_domain("server" + std::to_string(id)) : 0;
+  // The node's components self-attach to the fabric; route their port to
+  // its domain.
+  net_.set_attach_domain(d);
+  servers_.push_back(
+      std::make_unique<ServerNode>(psim_.domain(d), net_, id, std::move(spec)));
+  ServerNode& node = *servers_.back();
+  if (own_domain) node.runtime().set_engine(&psim_, d);
+  return node;
 }
 
 workloads::ClientGen& Cluster::add_client(double link_gbps,
                                           workloads::ClientGen::MakeReq make,
                                           std::uint64_t seed) {
   const auto id = static_cast<netsim::NodeId>(kClientBase + clients_.size());
+  net_.set_attach_domain(client_dom_);
   clients_.push_back(std::make_unique<workloads::ClientGen>(
-      sim_, net_, id, link_gbps, std::move(make), seed));
+      client_sim(), net_, id, link_gbps, std::move(make), seed));
   return *clients_.back();
 }
 
@@ -97,79 +130,17 @@ workloads::OpenLoopGen& Cluster::add_open_loop(
     workloads::OpenLoopParams params) {
   const auto id = static_cast<netsim::NodeId>(kClientBase + clients_.size() +
                                               open_loops_.size());
-  open_loops_.push_back(
-      std::make_unique<workloads::OpenLoopGen>(sim_, net_, id, params));
-  return *open_loops_.back();
-}
-
-void Cluster::snapshot_all() {
-  for (auto& server : servers_) server->snapshot();
-}
-
-std::unique_ptr<netsim::ChaosController> Cluster::make_chaos() {
-  auto chaos = std::make_unique<netsim::ChaosController>(sim_, net_);
-  for (auto& server : servers_) {
-    ServerNode* node = server.get();
-    chaos->register_node(node->id(),
-                         {.crash = [node] { node->crash(); },
-                          .restore = [node] { node->restore(); },
-                          .pcie_corrupt =
-                              [node](double rate) {
-                                node->runtime().set_channel_fault(rate);
-                              },
-                          .nic_crash = [node] { node->runtime().nic_crash(); },
-                          .nic_restore =
-                              [node] { node->runtime().nic_restore(); },
-                          .pcie_flap =
-                              [node](bool down) {
-                                node->runtime().set_pcie_link(!down);
-                              },
-                          .accel_fail =
-                              [node](std::uint32_t bank, bool failed) {
-                                node->runtime().set_accel_failed(bank, failed);
-                              }});
-  }
-  return chaos;
-}
-
-// --------------------------------------------------------- ParallelCluster --
-
-ServerNode& ParallelCluster::add_server(ServerSpec spec) {
-  const auto id = static_cast<netsim::NodeId>(servers_.size());
-  const sim::DomainId d = psim_.add_domain("server" + std::to_string(id));
-  server_domains_.push_back(d);
-  // The node's components self-attach to the fabric; route their port to
-  // the new domain.
-  net_.set_attach_domain(d);
-  servers_.push_back(
-      std::make_unique<ServerNode>(psim_.domain(d), net_, id, std::move(spec)));
-  ServerNode& node = *servers_.back();
-  node.nic().set_engine_domain(d);
-  node.host().set_engine_domain(d);
-  node.runtime().set_engine(&psim_, d);
-  return node;
-}
-
-workloads::ClientGen& ParallelCluster::add_client(
-    double link_gbps, workloads::ClientGen::MakeReq make, std::uint64_t seed) {
-  const auto id = static_cast<netsim::NodeId>(kClientBase + clients_.size());
-  net_.set_attach_domain(client_dom_);
-  clients_.push_back(std::make_unique<workloads::ClientGen>(
-      psim_.domain(client_dom_), net_, id, link_gbps, std::move(make), seed));
-  return *clients_.back();
-}
-
-workloads::OpenLoopGen& ParallelCluster::add_open_loop(
-    workloads::OpenLoopParams params) {
-  const auto id = static_cast<netsim::NodeId>(kClientBase + clients_.size() +
-                                              open_loops_.size());
   net_.set_attach_domain(client_dom_);
   open_loops_.push_back(std::make_unique<workloads::OpenLoopGen>(
-      psim_.domain(client_dom_), net_, id, params));
+      client_sim(), net_, id, params));
   return *open_loops_.back();
 }
 
-void ParallelCluster::run_until(Ns t) {
+void Cluster::run_until(Ns t) {
+  if (layout_ == Layout::kSingleQueue) {
+    sim().run(t);
+    return;
+  }
   if (!topology_frozen_) {
     net_.install_lookahead();
     topology_frozen_ = true;
@@ -177,15 +148,12 @@ void ParallelCluster::run_until(Ns t) {
   psim_.run(t);
 }
 
-void ParallelCluster::snapshot_all() {
+void Cluster::snapshot_all() {
   for (auto& server : servers_) server->snapshot();
 }
 
-std::unique_ptr<netsim::ChaosController> ParallelCluster::make_chaos() {
-  // The controller dispatches per action: node-scoped faults to the
-  // node's domain, fabric-scoped ones to the switch domain.
-  auto chaos = std::make_unique<netsim::ChaosController>(
-      psim_.domain(net_.switch_domain()), net_);
+std::unique_ptr<netsim::ChaosController> Cluster::make_chaos() {
+  auto chaos = std::make_unique<netsim::ChaosController>(net_.sim(), net_);
   for (auto& server : servers_) {
     ServerNode* node = server.get();
     chaos->register_node(node->id(),

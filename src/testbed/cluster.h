@@ -100,10 +100,29 @@ class ServerNode {
   Ns nic_busy_snapshot_ = 0;
 };
 
+/// How a cluster maps onto the event engine.  Only this module chooses.
+enum class Layout {
+  /// Servers, clients and the switch all on one queue (engine domain 0)
+  /// behind a 300 ns switch; run_until() runs that queue directly.  The
+  /// paper-figure benches use this layout.
+  kSingleQueue,
+  /// Conservative parallel engine: the switch is domain 0, all clients
+  /// share domain 1 (bench closures routinely share state across client
+  /// generators, so co-domaining keeps that safe), and every server gets
+  /// a domain of its own (its NIC, host, runtime, actors and timers all
+  /// schedule there).  The fabric is the only cross-domain surface, and
+  /// run_until() executes the domains on set_threads(n) workers with
+  /// byte-identical results for every n.  The default 2 us rack-scale
+  /// switch splits into the two edge lookaheads; wider windows mean
+  /// fewer synchronization barriers per simulated second.
+  kDomainPerNode,
+};
+
 class Cluster {
  public:
-  explicit Cluster(Ns switch_latency = 300)
-      : net_(sim_, switch_latency) {}
+  explicit Cluster(Layout layout = Layout::kSingleQueue)
+      : Cluster(layout, layout == Layout::kSingleQueue ? 300 : 2000) {}
+  Cluster(Layout layout, Ns switch_latency);
 
   /// Add a server; returns its node id (0, 1, 2, ...).
   ServerNode& add_server(ServerSpec spec);
@@ -114,11 +133,23 @@ class Cluster {
   /// Add a multiplexed open-loop population endpoint (sharded RKV).
   workloads::OpenLoopGen& add_open_loop(workloads::OpenLoopParams params);
 
-  void run_until(Ns t) { sim_.run(t); }
+  /// Engine worker threads (kDomainPerNode; one queue runs on the caller).
+  void set_threads(unsigned n) noexcept { psim_.set_threads(n); }
+  /// kDomainPerNode: the first call freezes the topology (installs the
+  /// lookahead edges).
+  void run_until(Ns t);
   void snapshot_all();
 
-  [[nodiscard]] sim::Simulation& sim() noexcept { return sim_; }
-  [[nodiscard]] const sim::Simulation& sim() const noexcept { return sim_; }
+  /// Domain 0: the whole cluster (kSingleQueue) or the switch.
+  [[nodiscard]] sim::Simulation& sim() noexcept { return psim_.domain(0); }
+  [[nodiscard]] const sim::Simulation& sim() const noexcept {
+    return psim_.domain(0);
+  }
+  /// The clients' queue (what bench closures schedule on).
+  [[nodiscard]] sim::Simulation& client_sim() noexcept {
+    return psim_.domain(client_dom_);
+  }
+  [[nodiscard]] sim::ParallelSimulation& engine() noexcept { return psim_; }
   [[nodiscard]] netsim::Network& net() noexcept { return net_; }
   [[nodiscard]] ServerNode& server(std::size_t i) { return *servers_[i]; }
   [[nodiscard]] std::size_t server_count() const noexcept {
@@ -140,85 +171,21 @@ class Cluster {
   static constexpr netsim::NodeId kClientBase = 1000;
 
  private:
-  sim::Simulation sim_;
+  sim::ParallelSimulation psim_;
+  Layout layout_;
+  sim::DomainId client_dom_;
   netsim::Network net_;
+  bool topology_frozen_ = false;
   std::vector<std::unique_ptr<ServerNode>> servers_;
   std::vector<std::unique_ptr<workloads::ClientGen>> clients_;
   std::vector<std::unique_ptr<workloads::OpenLoopGen>> open_loops_;
 };
 
-/// Cluster on the conservative parallel engine: every server gets its own
-/// engine domain (its NIC, host, runtime, actors, and timers all schedule
-/// on that domain's queue — ServerNode and friends are reused unchanged),
-/// the switch is domain 0, and all clients share domain 1 (bench
-/// closures routinely share state across client generators, so keeping
-/// them co-domained keeps that pattern safe).  The fabric is the only
-/// cross-domain surface.  `run_until(t)` executes the domains on
-/// `set_threads(n)` workers with byte-identical results for every n.
-///
-/// Pick a rack-scale switch latency (e.g. 2 us): the two half-latencies
-/// become the engine's lookahead windows, and wider windows mean fewer
-/// synchronization barriers per simulated second.
-class ParallelCluster {
+/// Shorthand for `Cluster(Layout::kDomainPerNode, switch_latency)`.
+class ParallelCluster : public Cluster {
  public:
   explicit ParallelCluster(Ns switch_latency = 2000)
-      : switch_dom_(psim_.add_domain("switch")),
-        client_dom_(psim_.add_domain("clients")),
-        net_(psim_, switch_dom_, switch_latency) {
-    // Every component arena-allocates from the constructing thread's
-    // pool; engine workers recycle frames concurrently.
-    net_.pool().set_concurrent(true);
-  }
-
-  /// Add a server in its own fresh engine domain; returns the node.
-  ServerNode& add_server(ServerSpec spec);
-  /// Add a client endpoint (clients domain) with its own (dumb) NIC.
-  workloads::ClientGen& add_client(double link_gbps,
-                                   workloads::ClientGen::MakeReq make,
-                                   std::uint64_t seed = 42);
-  /// Add a multiplexed open-loop population endpoint (clients domain).
-  workloads::OpenLoopGen& add_open_loop(workloads::OpenLoopParams params);
-
-  void set_threads(unsigned n) noexcept { psim_.set_threads(n); }
-  /// First call freezes the topology (installs the lookahead edges).
-  void run_until(Ns t);
-  void snapshot_all();
-
-  [[nodiscard]] sim::ParallelSimulation& engine() noexcept { return psim_; }
-  [[nodiscard]] netsim::Network& net() noexcept { return net_; }
-  /// The clients' domain queue (what bench driver closures schedule on).
-  [[nodiscard]] sim::Simulation& client_sim() noexcept {
-    return psim_.domain(client_dom_);
-  }
-  [[nodiscard]] sim::DomainId server_domain(std::size_t i) const {
-    return server_domains_[i];
-  }
-  [[nodiscard]] ServerNode& server(std::size_t i) { return *servers_[i]; }
-  [[nodiscard]] std::size_t server_count() const noexcept {
-    return servers_.size();
-  }
-  [[nodiscard]] workloads::ClientGen& client(std::size_t i) {
-    return *clients_[i];
-  }
-  [[nodiscard]] std::size_t client_count() const noexcept {
-    return clients_.size();
-  }
-
-  /// Chaos controller with multi-domain dispatch (see ChaosController).
-  [[nodiscard]] std::unique_ptr<netsim::ChaosController> make_chaos();
-
-  static constexpr netsim::NodeId kClientBase = 1000;
-
- private:
-  sim::ParallelSimulation psim_;
-  sim::DomainId switch_dom_;
-  sim::DomainId client_dom_;
-  netsim::Network net_;
-  bool topology_frozen_ = false;
-  std::vector<sim::DomainId> server_domains_;
-  std::vector<std::unique_ptr<ServerNode>> servers_;
-  std::vector<std::unique_ptr<workloads::ClientGen>> clients_;
-  std::vector<std::unique_ptr<workloads::OpenLoopGen>> open_loops_;
+      : Cluster(Layout::kDomainPerNode, switch_latency) {}
 };
 
 /// Convert a deployment mode into the runtime config tweaks it implies.

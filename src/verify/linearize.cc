@@ -68,8 +68,14 @@ class KeySearch {
             std::uint64_t* explored)
       : entries_(std::move(entries)), budget_(budget), explored_(explored) {
     words_ = (entries_.size() + 63) / 64;
-    state_ids_[State{}] = 0;  // initial state: absent
-    states_.push_back(State{});
+    // Intern every value up front; the search then only compares and
+    // installs ids.  Id 0 is the initial state: absent.
+    std::map<State, std::uint32_t> ids{{State{}, 0}};
+    value_ids_.reserve(entries_.size());
+    for (const Entry& e : entries_) {
+      const auto next = static_cast<std::uint32_t>(ids.size());
+      value_ids_.push_back(ids.emplace(e.value, next).first->second);
+    }
   }
 
   /// 1 = linearizable, 0 = not (check budget_hit() to disambiguate).
@@ -80,13 +86,6 @@ class KeySearch {
   [[nodiscard]] bool budget_hit() const noexcept { return budget_hit_; }
 
  private:
-  std::uint32_t intern(const State& s) {
-    const auto [it, fresh] =
-        state_ids_.emplace(s, static_cast<std::uint32_t>(states_.size()));
-    if (fresh) states_.push_back(s);
-    return it->second;
-  }
-
   [[nodiscard]] static bool bit(const std::vector<std::uint64_t>& m,
                                 std::size_t i) {
     return (m[i / 64] >> (i % 64)) & 1;
@@ -113,16 +112,14 @@ class KeySearch {
     memo.append(reinterpret_cast<const char*>(&state_id), sizeof state_id);
     if (!visited_.insert(std::move(memo)).second) return false;
 
-    const State& state = states_[state_id];
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       if (bit(mask, i)) continue;
       const Entry& e = entries_[i];
       if (e.inv > min_res) continue;  // would linearize after a pending res
-      if (!e.is_mutation && e.value != state) continue;  // read mismatch
+      const std::uint32_t value_id = value_ids_[i];
+      if (!e.is_mutation && value_id != state_id) continue;  // read mismatch
       mask[i / 64] |= 1ULL << (i % 64);
-      const std::uint32_t next =
-          e.is_mutation ? intern(e.value) : state_id;
-      if (dfs(mask, next)) return true;
+      if (dfs(mask, e.is_mutation ? value_id : state_id)) return true;
       mask[i / 64] &= ~(1ULL << (i % 64));
       if (budget_hit_) return false;
     }
@@ -130,12 +127,11 @@ class KeySearch {
   }
 
   std::vector<Entry> entries_;
+  std::vector<std::uint32_t> value_ids_;  ///< entries_[i].value, interned
   std::uint64_t budget_;
   std::uint64_t* explored_;
   std::size_t words_ = 0;
   bool budget_hit_ = false;
-  std::vector<State> states_;
-  std::map<State, std::uint32_t> state_ids_;
   std::unordered_set<std::string> visited_;
 };
 

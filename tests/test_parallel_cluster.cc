@@ -1,4 +1,4 @@
-// End-to-end tests of the sharded cluster harness (ParallelCluster): the
+// End-to-end tests of the domain-per-node cluster layout: the
 // full node stack (NIC + host + runtime + actors) runs per-domain, frames
 // cross domains through the fabric, chaos faults dispatch to the right
 // domain — and every observable result is byte-identical for any
@@ -44,7 +44,7 @@ struct RunResult {
 
 RunResult run_echo_cluster(unsigned threads, bool with_chaos) {
   constexpr int kServers = 3;
-  testbed::ParallelCluster cluster;
+  testbed::Cluster cluster(testbed::Layout::kDomainPerNode);
   cluster.set_threads(threads);
   std::vector<ActorId> actors;
   for (int i = 0; i < kServers; ++i) {
@@ -127,7 +127,7 @@ TEST(ParallelCluster, ChaosRunIsThreadCountInvariant) {
 }
 
 TEST(ParallelCluster, EngineCountersReachMetricsSnapshots) {
-  testbed::ParallelCluster cluster;
+  testbed::Cluster cluster(testbed::Layout::kDomainPerNode);
   testbed::ServerSpec spec;
   auto& server = cluster.add_server(spec);
   server.runtime().enable_tracing(1 << 12, /*metrics_period=*/msec(2));
@@ -153,7 +153,8 @@ TEST(ParallelCluster, EngineCountersReachMetricsSnapshots) {
 TEST(ParallelCluster, ZeroSwitchLatencyFallsBackToSequential) {
   // A 0ns switch gives the fabric edges no lookahead: the engine must
   // refuse to window and run the deterministic sequential multiplexer.
-  testbed::ParallelCluster cluster(/*switch_latency=*/0);
+  testbed::Cluster cluster(testbed::Layout::kDomainPerNode,
+                           /*switch_latency=*/0);
   auto& server = cluster.add_server(testbed::ServerSpec{});
   const ActorId id = server.runtime().register_actor(std::make_unique<Echo>());
   workloads::EchoWorkloadParams wl;

@@ -130,6 +130,37 @@ TEST(Linearize, KeysArePartitionedIndependently) {
   EXPECT_EQ(r.detail.find("key=a"), std::string::npos) << r.detail;
 }
 
+TEST(Linearize, ManyDistinctValuesOnOneKey) {
+  // Regression: the search once held a reference into its table of
+  // interned states across interning a new value, which can reallocate
+  // the table.  One key with hundreds of distinct values grows it many
+  // times.  Each round has two overlapping puts, a read concurrent with
+  // both that still sees the previous value (so it must linearize first,
+  // and is only tried after every put-first branch has failed), and a
+  // later read that pins the put order.
+  const auto wide = [](std::uint32_t n) {
+    return std::vector<std::uint8_t>{static_cast<std::uint8_t>(n),
+                                     static_cast<std::uint8_t>(n >> 8), 0x5A};
+  };
+  constexpr std::uint32_t kRounds = 130;  // 260 distinct acked puts
+  KvHistory h;
+  std::uint64_t rid = 1;
+  for (std::uint32_t r = 0; r < kRounds; ++r) {
+    const Ns t = Ns{100} * r;
+    h.ops.push_back(kv_put(rid++, "k", wide(2 * r), t, t + 10));
+    h.ops.push_back(kv_put(rid++, "k", wide(2 * r + 1), t, t + 10));
+    h.ops.push_back(
+        r == 0 ? kv_get(rid++, "k", t + 1, t + 9, rkv::Status::kNotFound)
+               : kv_get(rid++, "k", t + 1, t + 9, rkv::Status::kOk,
+                        wide(2 * r - 1)));
+    h.ops.push_back(kv_get(rid++, "k", t + 20, t + 30, rkv::Status::kOk,
+                           wide(2 * r + 1)));
+  }
+  const auto result = verify::check_kv_linearizable(h);
+  EXPECT_TRUE(result.ok) << result.detail;
+  EXPECT_FALSE(result.inconclusive);
+}
+
 // -------------------------------------------- serializability/atomicity --
 
 using Outcome = dt::CoordinatorObserver::Outcome;
