@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
       });
   std::size_t k = 0;
   for (const auto& ks : sweeps) emit(ks, outcomes, k);
-  runner.write_json("ablation_scheduler");
+  if (!runner.write_json("ablation_scheduler")) return 1;
   std::printf(
       "\nReading: very low tail thresholds downgrade everything (DRR "
       "dynamics + churn); very high ones never react.  Short cooldowns "

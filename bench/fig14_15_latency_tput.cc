@@ -161,6 +161,6 @@ int main(int argc, char** argv) {
         use_25g ? "25" : "10", use_25g ? "2.2x/2.9x/2.2x" : "2.3x/4.3x/4.2x",
         use_25g ? "5.4/28.0/12.5us" : "5.7/23.0/8.7us");
   }
-  runner.write_json("fig14_15_latency_tput");
+  if (!runner.write_json("fig14_15_latency_tput")) return 1;
   return 0;
 }

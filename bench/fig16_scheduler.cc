@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
     }
     table.print();
   }
-  runner.write_json("fig16_scheduler");
+  if (!runner.write_json("fig16_scheduler")) return 1;
   std::printf(
       "\nPaper shape: low dispersion — hybrid ~= FCFS, beats DRR; high "
       "dispersion — hybrid beats FCFS by up to ~68%% at 0.9 load and edges "

@@ -1,10 +1,12 @@
 // Helpers shared by the acceptance benches (parallel_cluster,
 // sharded_rkv, nic_failover, chaos_recovery): `--name=value` flag
-// parsing and the FNV-1a digests their stdout ends with.
+// parsing, the FNV-1a digests their stdout ends with, and the output
+// files they are asked to write.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 
@@ -32,6 +34,38 @@ inline std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
 }
 inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
   return fnv1a(h, &v, sizeof(v));
+}
+
+/// Write the file named by `--<flag>=<path>`: `write(FILE*)` prints its
+/// contents.  Returns false, and says why on stderr, when the file cannot
+/// be opened or written; a bench asked for the file then exits 1.
+template <typename Fn>
+[[nodiscard]] bool write_output(const char* flag, const std::string& path,
+                                Fn&& write) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "%s: cannot open %s\n", flag, path.c_str());
+    return false;
+  }
+  write(f);
+  const bool ok = std::ferror(f) == 0;
+  if (std::fclose(f) != 0 || !ok) {
+    std::fprintf(stderr, "%s: cannot write %s\n", flag, path.c_str());
+    return false;
+  }
+  return true;
+}
+
+/// The `--wall-out` document: engine threads, wall seconds and events.
+[[nodiscard]] inline bool write_wall_out(const std::string& path,
+                                         unsigned threads, double wall_s,
+                                         std::uint64_t events) {
+  return write_output("wall-out", path, [&](std::FILE* f) {
+    std::fprintf(f,
+                 "{\"threads\": %u, \"wall_seconds\": %.6f, "
+                 "\"events\": %llu}\n",
+                 threads, wall_s, static_cast<unsigned long long>(events));
+  });
 }
 
 }  // namespace ipipe::bench

@@ -8,6 +8,8 @@
 #include <string_view>
 #include <thread>
 
+#include "harness/acceptance.h"
+
 namespace ipipe::bench {
 
 namespace {
@@ -16,6 +18,46 @@ using WallClock = std::chrono::steady_clock;
 
 double seconds_since(WallClock::time_point start) {
   return std::chrono::duration<double>(WallClock::now() - start).count();
+}
+
+/// The --bench-json document: one record per point plus the totals.
+void write_json_doc(std::FILE* f, const std::string& bench_name, unsigned jobs,
+                    const std::vector<PointPerf>& perf) {
+  std::uint64_t events = 0;
+  double sim_s = 0.0;
+  double wall_s = 0.0;
+  for (const auto& p : perf) {
+    events += p.events;
+    sim_s += p.sim_seconds;
+    wall_s += p.wall_seconds;
+  }
+  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"jobs\": %u,\n",
+               bench_name.c_str(), jobs);
+  std::fprintf(f, "  \"points\": [\n");
+  for (std::size_t i = 0; i < perf.size(); ++i) {
+    const auto& p = perf[i];
+    const double eps = p.wall_seconds > 0
+                           ? static_cast<double>(p.events) / p.wall_seconds
+                           : 0.0;
+    const double spw =
+        p.wall_seconds > 0 ? p.sim_seconds / p.wall_seconds : 0.0;
+    std::fprintf(f,
+                 "    {\"label\": \"%s\", \"events\": %llu, "
+                 "\"sim_seconds\": %.6f, \"wall_seconds\": %.6f, "
+                 "\"events_per_sec\": %.0f, \"sim_per_wall\": %.4f}%s\n",
+                 p.label.c_str(), static_cast<unsigned long long>(p.events),
+                 p.sim_seconds, p.wall_seconds, eps, spw,
+                 i + 1 < perf.size() ? "," : "");
+  }
+  const double eps = wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0;
+  const double spw = wall_s > 0 ? sim_s / wall_s : 0.0;
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f,
+               "  \"totals\": {\"points\": %zu, \"events\": %llu, "
+               "\"sim_seconds\": %.6f, \"wall_seconds\": %.6f, "
+               "\"events_per_sec\": %.0f, \"sim_per_wall\": %.4f}\n}\n",
+               perf.size(), static_cast<unsigned long long>(events), sim_s,
+               wall_s, eps, spw);
 }
 
 }  // namespace
@@ -117,49 +159,9 @@ double SweepRunner::wall_seconds() const noexcept {
 
 bool SweepRunner::write_json(const std::string& bench_name) const {
   if (opts_.bench_json.empty()) return true;
-  std::FILE* f = std::fopen(opts_.bench_json.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench-json: cannot open %s\n",
-                 opts_.bench_json.c_str());
-    return false;
-  }
-  std::uint64_t events = 0;
-  double sim_s = 0.0;
-  double wall_s = 0.0;
-  for (const auto& p : perf_) {
-    events += p.events;
-    sim_s += p.sim_seconds;
-    wall_s += p.wall_seconds;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"jobs\": %u,\n",
-               bench_name.c_str(), opts_.jobs);
-  std::fprintf(f, "  \"points\": [\n");
-  for (std::size_t i = 0; i < perf_.size(); ++i) {
-    const auto& p = perf_[i];
-    const double eps = p.wall_seconds > 0
-                           ? static_cast<double>(p.events) / p.wall_seconds
-                           : 0.0;
-    const double spw =
-        p.wall_seconds > 0 ? p.sim_seconds / p.wall_seconds : 0.0;
-    std::fprintf(f,
-                 "    {\"label\": \"%s\", \"events\": %llu, "
-                 "\"sim_seconds\": %.6f, \"wall_seconds\": %.6f, "
-                 "\"events_per_sec\": %.0f, \"sim_per_wall\": %.4f}%s\n",
-                 p.label.c_str(), static_cast<unsigned long long>(p.events),
-                 p.sim_seconds, p.wall_seconds, eps, spw,
-                 i + 1 < perf_.size() ? "," : "");
-  }
-  const double eps = wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0;
-  const double spw = wall_s > 0 ? sim_s / wall_s : 0.0;
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"totals\": {\"points\": %zu, \"events\": %llu, "
-               "\"sim_seconds\": %.6f, \"wall_seconds\": %.6f, "
-               "\"events_per_sec\": %.0f, \"sim_per_wall\": %.4f}\n}\n",
-               perf_.size(), static_cast<unsigned long long>(events), sim_s,
-               wall_s, eps, spw);
-  std::fclose(f);
-  return true;
+  return write_output("bench-json", opts_.bench_json, [&](std::FILE* f) {
+    write_json_doc(f, bench_name, opts_.jobs, perf_);
+  });
 }
 
 }  // namespace ipipe::bench

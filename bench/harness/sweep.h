@@ -88,8 +88,9 @@ class SweepRunner {
   [[nodiscard]] double wall_seconds() const noexcept;
 
   /// Write the --bench-json document (no-op when the flag was not given).
-  /// Returns false if the file could not be opened.
-  bool write_json(const std::string& bench_name) const;
+  /// Returns false if the file could not be opened or written; the bench
+  /// then exits 1.
+  [[nodiscard]] bool write_json(const std::string& bench_name) const;
 
  private:
   /// Executes task(i) for i in [0, n), stamping wall_seconds around each

@@ -18,7 +18,8 @@
 // drops) while the victim's ledger stays clean.
 //
 // Flags: --jobs=N parallelizes the points; --bench-json=<path> emits the
-// perf baseline (committed as BENCH_mt.json, uploaded by CI mt-smoke).
+// perf baseline (committed as BENCH_mt.json; `ci/run.sh mt-smoke` writes
+// BENCH_mt_ci.json, which CI uploads).
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -244,7 +245,7 @@ int main(int argc, char** argv) {
          strf("%llu", static_cast<unsigned long long>(r.aggro_throttles))});
   }
   table.print();
-  runner.write_json("multi_tenant");
+  if (!runner.write_json("multi_tenant")) return 1;
 
   // ---- isolation contract (nonzero exit on violation) -------------------
   const MtPoint& base = results[0];

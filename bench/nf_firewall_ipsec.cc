@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
                          strf("%.1f", pt.line_gbps)});
   }
   ipsec_table.print();
-  runner.write_json("nf_firewall_ipsec");
+  if (!runner.write_json("nf_firewall_ipsec")) return 1;
   std::printf(
       "Paper: 8.6 Gbps (10GbE) and 22.9 Gbps (25GbE) with the crypto "
       "engines — comparable to FPGA ClickNP per link.\n");

@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
                         static_cast<unsigned long long>(r.order_violations))});
   }
   table.print();
-  runner.write_json("nf_pipeline");
+  if (!runner.write_json("nf_pipeline")) return 1;
 
   if (violations != 0) {
     std::fprintf(stderr,

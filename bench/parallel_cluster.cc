@@ -10,7 +10,8 @@
 //   parallel_cluster [--sim-threads=N] [--duration-s=S] [--seed=N]
 //                    [--min-events=N] [--wall-out=<path>]
 //
-// Exit codes: 0 ok, 2 lost acked writes, 3 fewer events than --min-events.
+// Exit codes: 0 ok, 1 --wall-out could not be written, 2 lost acked
+// writes, 3 fewer events than --min-events.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -319,16 +320,9 @@ int main(int argc, char** argv) {
                "(%.2fM events/s)\n",
                sim_threads, wall_s, static_cast<unsigned long long>(events),
                wall_s > 0 ? static_cast<double>(events) / wall_s / 1e6 : 0.0);
-  if (!wall_out.empty()) {
-    std::FILE* f = std::fopen(wall_out.c_str(), "w");
-    if (f != nullptr) {
-      std::fprintf(f,
-                   "{\"threads\": %u, \"wall_seconds\": %.6f, "
-                   "\"events\": %llu}\n",
-                   sim_threads, wall_s,
-                   static_cast<unsigned long long>(events));
-      std::fclose(f);
-    }
+  if (!wall_out.empty() &&
+      !bench::write_wall_out(wall_out, sim_threads, wall_s, events)) {
+    return 1;
   }
 
   if (min_events > 0 && events < min_events) {

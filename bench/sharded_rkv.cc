@@ -18,10 +18,11 @@
 //               [--groups=N] [--min-events=N] [--wall-out=<path>]
 //               [--json-out=<path>]
 //
-// Exit codes: 0 ok; 2 correctness violation (stale read, lost acked
-// write, readback failure, or rebalance did not complete); 3 fewer
-// engine events than --min-events; 4 SLO breach (cache hit rate < 50%
-// or p99 over the floor).
+// Exit codes: 0 ok; 1 --wall-out/--json-out could not be written; 2
+// correctness violation (stale read, lost acked write, readback failure,
+// or rebalance did not complete); 3 fewer engine events than
+// --min-events; 4 SLO breach (cache hit rate < 50% or p99 over the
+// floor).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -316,51 +317,44 @@ int main(int argc, char** argv) {
                "(%.2fM events/s)\n",
                sim_threads, wall_s, static_cast<unsigned long long>(events),
                wall_s > 0 ? static_cast<double>(events) / wall_s / 1e6 : 0.0);
-  if (!wall_out.empty()) {
-    std::FILE* f = std::fopen(wall_out.c_str(), "w");
-    if (f != nullptr) {
-      std::fprintf(f,
-                   "{\"threads\": %u, \"wall_seconds\": %.6f, "
-                   "\"events\": %llu}\n",
-                   sim_threads, wall_s,
-                   static_cast<unsigned long long>(events));
-      std::fclose(f);
-    }
+  if (!wall_out.empty() &&
+      !bench::write_wall_out(wall_out, sim_threads, wall_s, events)) {
+    return 1;
   }
-  if (!json_out.empty()) {
-    // Deterministic metrics only — the artifact reproduces bit-for-bit.
-    std::FILE* f = std::fopen(json_out.c_str(), "w");
-    if (f != nullptr) {
-      std::fprintf(
-          f,
-          "{\n"
-          "  \"bench\": \"sharded_rkv\",\n"
-          "  \"seed\": %llu, \"duration_s\": %.1f, \"groups\": %d,\n"
-          "  \"clients\": %llu, \"events\": %llu,\n"
-          "  \"completed\": %llu, \"acked_writes\": %llu,\n"
-          "  \"stale_reads\": %llu, \"lost_acked\": %llu,\n"
-          "  \"cache_hit_rate\": %.4f, \"cache_wipes\": %llu,\n"
-          "  \"p50_ns\": %llu, \"p99_ns\": %llu,\n"
-          "  \"rebalances\": %llu,\n"
-          "  \"digests\": {\"chaos\": \"%016llx\", \"results\": \"%016llx\", "
-          "\"floors\": \"%016llx\"}\n"
-          "}\n",
-          static_cast<unsigned long long>(seed), duration_s, groups,
-          static_cast<unsigned long long>(wp.clients),
-          static_cast<unsigned long long>(events),
-          static_cast<unsigned long long>(gen.completed()),
-          static_cast<unsigned long long>(gen.acked_writes()),
-          static_cast<unsigned long long>(gen.stale_reads()),
-          static_cast<unsigned long long>(gen.lost_acked()),
-          hit_rate, static_cast<unsigned long long>(wipes),
-          static_cast<unsigned long long>(gen.latencies().p50()),
-          static_cast<unsigned long long>(gen.latencies().p99()),
-          static_cast<unsigned long long>(gen.rebalances_done()),
-          static_cast<unsigned long long>(chaos_digest),
-          static_cast<unsigned long long>(results),
-          static_cast<unsigned long long>(floors));
-      std::fclose(f);
-    }
+  // Deterministic metrics only — the artifact reproduces bit-for-bit.
+  const auto write_metrics = [&](std::FILE* f) {
+    std::fprintf(
+        f,
+        "{\n"
+        "  \"bench\": \"sharded_rkv\",\n"
+        "  \"seed\": %llu, \"duration_s\": %.1f, \"groups\": %d,\n"
+        "  \"clients\": %llu, \"events\": %llu,\n"
+        "  \"completed\": %llu, \"acked_writes\": %llu,\n"
+        "  \"stale_reads\": %llu, \"lost_acked\": %llu,\n"
+        "  \"cache_hit_rate\": %.4f, \"cache_wipes\": %llu,\n"
+        "  \"p50_ns\": %llu, \"p99_ns\": %llu,\n"
+        "  \"rebalances\": %llu,\n"
+        "  \"digests\": {\"chaos\": \"%016llx\", \"results\": \"%016llx\", "
+        "\"floors\": \"%016llx\"}\n"
+        "}\n",
+        static_cast<unsigned long long>(seed), duration_s, groups,
+        static_cast<unsigned long long>(wp.clients),
+        static_cast<unsigned long long>(events),
+        static_cast<unsigned long long>(gen.completed()),
+        static_cast<unsigned long long>(gen.acked_writes()),
+        static_cast<unsigned long long>(gen.stale_reads()),
+        static_cast<unsigned long long>(gen.lost_acked()),
+        hit_rate, static_cast<unsigned long long>(wipes),
+        static_cast<unsigned long long>(gen.latencies().p50()),
+        static_cast<unsigned long long>(gen.latencies().p99()),
+        static_cast<unsigned long long>(gen.rebalances_done()),
+        static_cast<unsigned long long>(chaos_digest),
+        static_cast<unsigned long long>(results),
+        static_cast<unsigned long long>(floors));
+  };
+  if (!json_out.empty() &&
+      !bench::write_output("json-out", json_out, write_metrics)) {
+    return 1;
   }
 
   if (min_events > 0 && events < min_events) {

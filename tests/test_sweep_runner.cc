@@ -127,5 +127,21 @@ TEST(SweepOpts, ParseJobsAndJsonPath) {
   EXPECT_TRUE(defaults.bench_json.empty());
 }
 
+// A bench asked for --bench-json must learn that the file was not written
+// (it then exits 1), rather than finish as if it had been.
+TEST(SweepRunner, WriteJsonFailsWhenFileCannotBeOpened) {
+  SweepOpts opts;
+  opts.bench_json = ::testing::TempDir() + "no-such-dir/bench.json";
+  SweepRunner runner(opts);
+  (void)runner.map(2, [](std::size_t i, PointPerf& perf) {
+    perf.label = "p" + std::to_string(i);
+    return i;
+  });
+  EXPECT_FALSE(runner.write_json("sweep_test"));
+
+  SweepRunner no_output(SweepOpts{});
+  EXPECT_TRUE(no_output.write_json("sweep_test"));
+}
+
 }  // namespace
 }  // namespace ipipe::bench
