@@ -46,6 +46,13 @@ run_tests() {
 
 # same <a> <b> <error> [<ok>]: the byte-equality gate.  Fails the suite,
 # showing the first 40 lines of the diff, unless files a and b are equal.
+#
+# Besides thread-against-thread, each behaviour-contract output is compared
+# with its checked-in copy in tests/golden/, so a change that moves results
+# the same way at every thread count fails too.  Regenerate every copy
+# (and give the reason in CHANGES.md) with one command:
+#
+#   tests/golden/regen.sh
 same() {
   if ! cmp -s "$1" "$2"; then
     echo "::error::$3"
@@ -193,6 +200,8 @@ case "${1:-}" in
       same "chaos.$seed.a.txt" "chaos.$seed.b.txt" \
         "chaos_recovery seed=$seed replay is not byte-identical" \
         "seed=$seed: byte-identical replay"
+      same "chaos.$seed.a.txt" "tests/golden/chaos.$seed.a.txt" \
+        "chaos_recovery seed=$seed differs from tests/golden/chaos.$seed.a.txt"
     done
     ;;
 
@@ -215,6 +224,8 @@ case "${1:-}" in
       same failover.t1.txt "$f" "nic_failover stdout differs ($f vs t1)"
     done
     echo "nic_failover: byte-identical across engine threads and replay"
+    same failover.t1.txt tests/golden/failover.t1.txt \
+      "nic_failover stdout differs from tests/golden/failover.t1.txt"
     ;;
 
   # The history checkers (linearizability for RKV, serializability and
@@ -300,12 +311,16 @@ case "${1:-}" in
       same "$b.jobs1.txt" "$b.jobs8.txt" \
         "$b output differs between --jobs=1 and --jobs=8" \
         "$b: byte-identical under --jobs=8"
+      same "$b.jobs1.txt" "tests/golden/$b.jobs1.txt" \
+        "$b output differs from tests/golden/$b.jobs1.txt"
     done
     ./build/bench/parallel_cluster --sim-threads=1 --duration-s=3 > par.st1.txt
     ./build/bench/parallel_cluster --sim-threads=8 --duration-s=3 > par.st8.txt
     same par.st1.txt par.st8.txt \
       "parallel_cluster output differs between --sim-threads=1 and =8" \
       "parallel_cluster: byte-identical under --sim-threads=8"
+    same par.st1.txt tests/golden/par.st1.txt \
+      "parallel_cluster output differs from tests/golden/par.st1.txt"
     ;;
 
   # The benchmark (simbench/) builds its driver from src/ on its own: run
