@@ -1,8 +1,31 @@
 #include "ipipe/env.h"
 
 #include <algorithm>
+#include <array>
 
 namespace ipipe {
+namespace {
+
+constexpr double kNicIpc = 1.2;   ///< cnMIPS 2-way in-order, achieved IPC
+constexpr double kHostIpc = 3.0;  ///< Xeon out-of-order, achieved IPC
+
+/// Host software fallback slowdown vs the NIC accelerator, per engine
+/// (§2.2.3: MD5 engine 7.0x, AES 2.5x faster than host).
+constexpr std::array<double, nic::kNumAccelKinds> kHostAccelSlowdown = {
+    3.0,  // CRC
+    7.0,  // MD5
+    5.0,  // SHA-1
+    4.0,  // 3DES
+    2.5,  // AES
+    4.0,  // KASUMI
+    4.0,  // SMS4
+    4.0,  // SNOW3G
+    0.5,  // FAU: plain atomics are faster on the host
+    2.0,  // ZIP
+    3.0,  // DFA
+};
+
+}  // namespace
 
 void EnvBase::charge_dmo(std::uint64_t bytes) {
   const auto& cfg = rt_.config();
@@ -123,7 +146,7 @@ netsim::PacketPtr EnvBase::make_packet(NodeId dst, ActorId dst_actor,
 
 void NicEnv::compute(double units) {
   const auto& nic_cfg = rt_.nic().config();
-  ctx_.charge(static_cast<Ns>(units / (rt_.config().nic_ipc * nic_cfg.freq_ghz)));
+  ctx_.charge(static_cast<Ns>(units / (kNicIpc * nic_cfg.freq_ghz)));
 }
 
 void NicEnv::accel(nic::AccelKind kind, std::uint32_t bytes,
@@ -138,9 +161,8 @@ void NicEnv::accel(nic::AccelKind kind, std::uint32_t bytes,
   // wimpy NIC core: the host software slowdown scaled up by the hosts'
   // IPC advantage, with no engine invocation to amortize.
   const Ns hw_cost = bank.batch_cost(kind, bytes, batch);
-  const double slow =
-      rt_.config().host_accel_slowdown[static_cast<std::size_t>(kind)] *
-      (rt_.config().host_ipc / rt_.config().nic_ipc);
+  const double slow = kHostAccelSlowdown[static_cast<std::size_t>(kind)] *
+                      (kHostIpc / kNicIpc);
   ctx_.charge(static_cast<Ns>(static_cast<double>(hw_cost) * slow));
   rt_.note_accel_fallback();
 }
@@ -203,8 +225,7 @@ void NicEnv::forward(ActorId dst_actor, netsim::PacketPtr pkt) {
 
 void HostEnv::compute(double units) {
   const auto& host_cfg = rt_.host().config();
-  ctx_.charge(
-      static_cast<Ns>(units / (rt_.config().host_ipc * host_cfg.freq_ghz)));
+  ctx_.charge(static_cast<Ns>(units / (kHostIpc * host_cfg.freq_ghz)));
 }
 
 void HostEnv::accel(nic::AccelKind kind, std::uint32_t bytes,
@@ -212,8 +233,7 @@ void HostEnv::accel(nic::AccelKind kind, std::uint32_t bytes,
   // No engine on the host: software fallback, slower by the per-engine
   // factor from §2.2.3 (but no invocation overhead amortization games).
   const Ns hw_cost = rt_.nic().accel().batch_cost(kind, bytes, batch);
-  const double slow =
-      rt_.config().host_accel_slowdown[static_cast<std::size_t>(kind)];
+  const double slow = kHostAccelSlowdown[static_cast<std::size_t>(kind)];
   ctx_.charge(static_cast<Ns>(static_cast<double>(hw_cost) * slow));
 }
 

@@ -51,15 +51,42 @@ class InitEnv final : public EnvBase {
   }
 };
 
-}  // namespace
-
-namespace {
+/// DRR mailbox length that pushes an actor to the host (ALG 2 line 18).
+constexpr std::size_t kMigrateMailboxLen = 64;
+/// Effective NIC->host object-migration bandwidth (Fig. 18 phase 3), and
+/// the per-object table/allocator work of a migration or evacuation.
+constexpr double kMigGbps = 7.2;
+constexpr Ns kMigPerObjectNs = 2500;
+/// Evacuation replay from the host DMO mirror, per KB of payload.
+constexpr Ns kEvacReplayNsPerKb = 300;
+/// Extra stall charged to a sender whose channel direction is
+/// backpressured (pending queue over cap): the producer slows down.
+constexpr Ns kChannelBackpressureStallNs = 500;
 
 /// True while requests for this actor must be buffered (migration phases
 /// 1-3).  In kClean (phase 4) the new home is live and dispatch resumes.
 [[nodiscard]] bool buffering(const ActorControl& ac) noexcept {
   return ac.mig == MigState::kPrepare || ac.mig == MigState::kReady ||
          ac.mig == MigState::kGone;
+}
+
+/// The side of PCIe an actor runs on.
+[[nodiscard]] MemSide side_of(const ActorControl& ac) noexcept {
+  return ac.loc == ActorLoc::kNic ? MemSide::kNic : MemSide::kHost;
+}
+
+/// A firmware-watchdog heartbeat (ping or pong): node-local, between the
+/// host's watchdog and the firmware's endpoint.
+[[nodiscard]] ChannelMsg watchdog_msg(netsim::NodeId node, std::uint16_t type,
+                                      Ns now) {
+  ChannelMsg m;
+  m.src_node = node;
+  m.dst_node = node;
+  m.src_actor = kWatchdogActor;
+  m.dst_actor = kWatchdogActor;
+  m.msg_type = type;
+  m.created_at = now;
+  return m;
 }
 
 }  // namespace
@@ -74,7 +101,7 @@ Runtime::Runtime(sim::Simulation& sim, nic::NicModel& nic,
       pool_(netsim::PacketPool::local()),
       nic_fw_(*this),
       host_rt_(*this),
-      channel_(sim, nic.dma(), cfg.channel_bytes, cfg.channel_tuning),
+      channel_(sim, nic.dma(), cfg.channel_bytes),
       roles_(nic.config().cores, CoreRole::kFcfs),
       busy_snapshot_(nic.config().cores, 0),
       busy_snapshot_at_(sim.now()) {
@@ -84,15 +111,11 @@ Runtime::Runtime(sim::Simulation& sim, nic::NicModel& nic,
   for (unsigned i = 0; i < nic.config().cores; ++i) {
     busy_snapshot_[i] = nic.core_busy_ns(i);
   }
-  if (cfg.channel_fault_rate > 0.0) {
-    channel_.set_fault_injection(cfg.channel_fault_rate, cfg.channel_fault_seed);
-  }
   tracer_.set_clock(sim.clock());
   channel_.set_tracer(&tracer_);
   objects_.set_tracer(&tracer_);
   if (cfg.trace) {
-    tracer_.enable(cfg.trace_capacity);
-    metrics_.set_period(cfg.trace_metrics_period);
+    enable_tracing(trace::Tracer::kDefaultCapacity, cfg.trace_metrics_period);
   }
   channel_.set_host_notify([this] { host_.wake_all(); });
   channel_.set_nic_notify([this] { nic_.wake_all(); });
@@ -269,37 +292,8 @@ int Runtime::classify_ingress(netsim::Packet& pkt) {
   TenantState* t = tenant(ac->tenant);
   if (t == nullptr) return 0;
   pkt.tenant = t->id;
-
-  // Intra-node hops already passed the VF's ingress checks when the
-  // originating frame arrived; only wire/host-DMA arrivals are policed.
-  const bool local_hop =
-      pkt.local_hop || (pkt.src == nic_.node() && !pkt.from_host);
-  if (!local_hop) {
-    const Ns now = sim_.now();
-    if (t->quarantined) {
-      ++t->stats.filter_drops;
-      return -1;
-    }
-    if (t->throttled(now)) {
-      ++t->stats.throttle_drops;
-      return -1;
-    }
-    if (!t->cfg.allowed_src.empty() &&
-        std::find(t->cfg.allowed_src.begin(), t->cfg.allowed_src.end(),
-                  pkt.src) == t->cfg.allowed_src.end()) {
-      ++t->stats.filter_drops;
-      t->note_violation(now);
-      return -1;
-    }
-    if (!t->ingress_admit(pkt.frame_size, now)) {
-      ++t->stats.policer_drops;
-      t->note_violation(now);
-      return -1;
-    }
-  }
-  ++t->stats.admitted_packets;
-  t->stats.admitted_bytes += pkt.frame_size;
-  return static_cast<int>(t->id);
+  return t->admit(pkt, local_hop(pkt), sim_.now()) ? static_cast<int>(t->id)
+                                                   : -1;
 }
 
 bool Runtime::vf_mailbox_post(TenantId id, VfMboxMsg msg) {
@@ -569,7 +563,7 @@ void Runtime::supervise_scan() {
     // Don't restart an actor into its tenant's penalty box: the revived
     // actor would re-enter the same overload and re-earn the kill.
     if (const TenantState* t = tenant(ac->tenant);
-        t != nullptr && (t->quarantined || t->throttled(sim_.now()))) {
+        t != nullptr && t->parked(sim_.now())) {
       continue;
     }
     if (ac->restarts >= cfg_.supervise_quarantine_after) {
@@ -736,16 +730,10 @@ void Runtime::watchdog_tick() {
   }
   // Keep probing even after a trip: the first pong out of rebooted
   // firmware is the re-offload signal.
-  ChannelMsg ping;
-  ping.src_node = nic_.node();
-  ping.dst_node = nic_.node();
-  ping.src_actor = kWatchdogActor;
-  ping.dst_actor = kWatchdogActor;
-  ping.msg_type = kWatchdogPingMsg;
-  ping.created_at = now;
   ++watchdog_pings_;
   ++pings_unanswered_;
-  (void)send_or_queue(MemSide::kHost, ping);
+  (void)send_or_queue(MemSide::kHost,
+                      watchdog_msg(nic_.node(), kWatchdogPingMsg, now));
   nic_.wake_all();
   if (nic_down_ || evacuated_ || pings_unanswered_ > 1) {
     // Exponential probe backoff while the NIC stays silent: a dead
@@ -810,8 +798,8 @@ void Runtime::emergency_evacuate(std::vector<ChannelMsg> undelivered) {
     deliver_local(m.dst_actor, m.to_packet(pool_), MemSide::kHost);
   }
   const Ns replay =
-      static_cast<Ns>(replay_bytes) * cfg_.evac_replay_ns_per_kb / 1024 +
-      static_cast<Ns>(moved_actors) * cfg_.mig_per_object_ns;
+      static_cast<Ns>(replay_bytes) * kEvacReplayNsPerKb / 1024 +
+      static_cast<Ns>(moved_actors) * kMigPerObjectNs;
   sim_.schedule(std::max<Ns>(replay, 1), [this] { finish_evacuation(); });
   if (tracer_.enabled()) {
     tracer_.instant(trace::Cat::kChaos, "nic_evacuate", trace::tid::kChaos, 0,
@@ -905,8 +893,7 @@ void Runtime::resolve_migration_on_fault() {
   // can duplicate; re-delivery means nothing is lost either.
   std::deque<netsim::PacketPtr> buffered;
   buffered.swap(ac->mig_buffer);
-  const MemSide side =
-      ac->loc == ActorLoc::kNic ? MemSide::kNic : MemSide::kHost;
+  const MemSide side = side_of(*ac);
   for (auto& pkt : buffered) {
     deliver_local(id, std::move(pkt), side);
   }
@@ -934,9 +921,7 @@ void Runtime::schedule_actor_msg(ActorId id, Ns delay, std::uint16_t type,
     pkt->frame_size = netsim::frame_for_payload(p.size());
     pkt->payload = std::move(p);
     pkt->created_at = sim_.now();
-    const MemSide side =
-        ac->loc == ActorLoc::kNic ? MemSide::kNic : MemSide::kHost;
-    deliver_local(id, std::move(pkt), side);
+    deliver_local(id, std::move(pkt), side_of(*ac));
   });
 }
 
@@ -1036,8 +1021,8 @@ bool Runtime::advance_migration(nic::NicExecContext& ctx) {
       migration_->bytes = moved.payload_bytes;
       const Ns xfer =
           static_cast<Ns>(static_cast<double>(moved.payload_bytes) * 8.0 /
-                          cfg_.mig_gbps) +
-          obj_count * cfg_.mig_per_object_ns;
+                          kMigGbps) +
+          obj_count * kMigPerObjectNs;
       ctx.charge(xfer);
       ac->mig = MigState::kGone;
       ac->loc = migration_->to;
@@ -1119,17 +1104,7 @@ bool Runtime::fcfs_run(nic::NicExecContext& ctx, unsigned core) {
     }
   }
 
-  if (auto pkt = nic_.tm().pop()) {
-    const Ns pkt_start = ctx.consumed();
-    const auto& nic_cfg = nic_.config();
-    ctx.charge(nic_cfg.has_hw_traffic_manager ? nic_cfg.tm_dequeue_cost
-                                              : nic_cfg.sw_shuffle_cost);
-    // Intra-NIC actor messages re-enter the work queue without paying the
-    // wire RX/TX tax; only frames from the MAC or the host DMA path do.
-    const bool local_msg =
-        (pkt->src == nic_.node() && !pkt->from_host) || pkt->local_hop;
-    if (!local_msg) ctx.charge_forwarding(pkt->frame_size);
-    dispatch_nic(ctx, std::move(pkt), pkt_start);
+  if (dequeue_tm(ctx)) {
     if (cfg_.policy == SchedPolicy::kHybrid && fcfs_stats_.seeded()) {
       if (fcfs_stats_.tail() > static_cast<double>(cfg_.tail_thresh)) {
         // Downgrade only on *persistent* violations — transient EWMA
@@ -1154,14 +1129,9 @@ bool Runtime::fcfs_run(nic::NicExecContext& ctx, unsigned core) {
       if (msg->dst_actor == kWatchdogActor) {
         // Firmware watchdog endpoint: answer the host's heartbeat.
         if (msg->msg_type == kWatchdogPingMsg) {
-          ChannelMsg pong;
-          pong.src_node = nic_.node();
-          pong.dst_node = nic_.node();
-          pong.src_actor = kWatchdogActor;
-          pong.dst_actor = kWatchdogActor;
-          pong.msg_type = kWatchdogPongMsg;
-          pong.created_at = sim_.now();
-          ctx.charge(send_or_queue(MemSide::kNic, pong));
+          ctx.charge(send_or_queue(
+              MemSide::kNic,
+              watchdog_msg(nic_.node(), kWatchdogPongMsg, sim_.now())));
         }
         return true;
       }
@@ -1182,6 +1152,24 @@ bool Runtime::fcfs_run(nic::NicExecContext& ctx, unsigned core) {
     nic_.wake_core_at(0, mgmt_wake_at_);
   }
   return false;
+}
+
+bool Runtime::dequeue_tm(nic::NicExecContext& ctx) {
+  auto pkt = nic_.tm().pop();
+  if (!pkt) return false;
+  const Ns pkt_start = ctx.consumed();
+  const auto& nic_cfg = nic_.config();
+  ctx.charge(nic_cfg.has_hw_traffic_manager ? nic_cfg.tm_dequeue_cost
+                                            : nic_cfg.sw_shuffle_cost);
+  // Intra-NIC actor messages re-enter the work queue without paying the
+  // wire RX/TX tax; only frames from the MAC or the host DMA path do.
+  if (!local_hop(*pkt)) ctx.charge_forwarding(pkt->frame_size);
+  dispatch_nic(ctx, std::move(pkt), pkt_start);
+  return true;
+}
+
+bool Runtime::local_hop(const netsim::Packet& pkt) const noexcept {
+  return pkt.local_hop || (pkt.src == nic_.node() && !pkt.from_host);
 }
 
 void Runtime::dispatch_nic(nic::NicExecContext& ctx, netsim::PacketPtr pkt,
@@ -1256,28 +1244,33 @@ void Runtime::execute_on_nic(nic::NicExecContext& ctx, ActorControl& ac,
     ++ac.requests;
     ac.actor->handle(env, *pkt);
   }
+  const Ns response = finish_exec(
+      ac, queue_delay, before, ctx.consumed(),
+      ac.is_drr ? "drr_handle" : "fcfs_handle",
+      trace::tid::kNicCore0 + ctx.core(), /*watchdog=*/true);
+  fcfs_stats_.add(static_cast<double>(response));
+  ++fcfs_samples_;
+  ctx.charge(cfg_.sched_bookkeeping_ns);
+}
 
-  const Ns exec = ctx.consumed() - before;
+Ns Runtime::finish_exec(ActorControl& ac, Ns queue_delay, Ns start, Ns end,
+                        const char* span, std::uint32_t tid, bool watchdog) {
+  const Ns exec = end - start;
   const Ns response = queue_delay + exec;
   ac.latency.add(static_cast<double>(response));
   ac.exec_cost.add(static_cast<double>(exec));
-  fcfs_stats_.add(static_cast<double>(response));
-  ++fcfs_samples_;
   response_hist_.add(response);
   if (tracer_.enabled()) {
     // Slice time is charged, not simulated: place the span at the
     // consumed-time offset within the slice so per-core tracks tile.
-    tracer_.span(trace::Cat::kExec,
-                 ac.is_drr ? "drr_handle" : "fcfs_handle",
-                 trace::tid::kNicCore0 + ctx.core(), sim_.now() + before,
-                 sim_.now() + ctx.consumed(), ac.id,
+    tracer_.span(trace::Cat::kExec, span, tid, sim_.now() + start,
+                 sim_.now() + end, ac.id,
                  {"queue_us", static_cast<double>(queue_delay) / 1000.0});
   }
-  ctx.charge(cfg_.sched_bookkeeping_ns);
-
-  if (exec > cfg_.watchdog_limit) {
+  if (watchdog && exec > cfg_.watchdog_limit) {
     kill_actor(ac.id, /*isolation_trap=*/false);
   }
+  return response;
 }
 
 void Runtime::forward_to_host(nic::NicExecContext& ctx, netsim::PacketPtr pkt) {
@@ -1293,7 +1286,7 @@ Ns Runtime::send_or_queue(MemSide from, const ChannelMsg& msg) {
   if (ticket.outcome == SendOutcome::kBackpressured) {
     // The pending queue is over its cap: charge a stall so the producer
     // side visibly slows down instead of racing ahead of the consumer.
-    cost += cfg_.channel_backpressure_stall_ns;
+    cost += kChannelBackpressureStallNs;
   }
   // Tenant channel budget: traffic destined to a tenant's actor charges
   // that tenant's token bucket, and an over-budget tenant pays a
@@ -1401,7 +1394,6 @@ double Runtime::drr_quantum_ns(const ActorControl& ac) const {
 bool Runtime::drr_run(nic::NicExecContext& ctx, unsigned core) {
   if (drr_queue_.empty()) return false;
 
-
   // Round-robin over the runnable queue (ALG 2).  Scanning a round is
   // cheap relative to request execution, so a free core keeps spinning
   // rounds — accruing deficits — until some actor becomes eligible;
@@ -1419,7 +1411,7 @@ bool Runtime::drr_run(nic::NicExecContext& ctx, unsigned core) {
       // *before* the pending check so their backlog does not spin the
       // round (the unthrottle wake resumes them).
       if (const TenantState* t = tenant(ac->tenant);
-          t != nullptr && (t->quarantined || t->throttled(sim_.now()))) {
+          t != nullptr && t->parked(sim_.now())) {
         continue;
       }
       ctx.charge(cfg_.sched_bookkeeping_ns / 4);  // scan cost
@@ -1452,7 +1444,8 @@ bool Runtime::drr_run(nic::NicExecContext& ctx, unsigned core) {
           maybe_upgrade();  // ALG 2 lines 10-12
         }
         if (cfg_.enable_migration && ac->group == kNoGroup &&
-            ac->mailbox.size() > cfg_.q_thresh && !migration_.has_value()) {
+            ac->mailbox.size() > kMigrateMailboxLen &&
+            !migration_.has_value()) {
           start_migration(ac->id, ActorLoc::kHost);  // ALG 2 lines 18-20
         }
         return true;
@@ -1464,36 +1457,13 @@ bool Runtime::drr_run(nic::NicExecContext& ctx, unsigned core) {
   // No eligible handler work: help drain the shared ingress queue instead
   // of idling (dedicating a lone FCFS core to dispatch would bottleneck
   // small-core NICs).
-  if (auto pkt = nic_.tm().pop()) {
-    const Ns pkt_start = ctx.consumed();
-    const auto& nic_cfg = nic_.config();
-    ctx.charge(nic_cfg.has_hw_traffic_manager ? nic_cfg.tm_dequeue_cost
-                                              : nic_cfg.sw_shuffle_cost);
-    const bool local_msg =
-        (pkt->src == nic_.node() && !pkt->from_host) || pkt->local_hop;
-    if (!local_msg) ctx.charge_forwarding(pkt->frame_size);
-    dispatch_nic(ctx, std::move(pkt), pkt_start);
-    return true;
-  }
+  if (dequeue_tm(ctx)) return true;
   // Park only when there is neither handler nor dispatch work; deficits
   // carry over to the next slice.  Throttled tenants' backlogs don't
   // count as work (that would busy-spin the core through the penalty) —
   // instead, arm a wake at the earliest penalty expiry.
   Ns wake_at = 0;
-  for (const ActorId id : drr_queue_) {
-    const auto* ac = control(id);
-    if (ac == nullptr || ac->killed || ac->mailbox.empty()) continue;
-    if (const TenantState* t = tenant(ac->tenant); t != nullptr) {
-      if (t->quarantined) continue;
-      if (t->throttled(sim_.now())) {
-        if (wake_at == 0 || t->throttled_until < wake_at) {
-          wake_at = t->throttled_until;
-        }
-        continue;
-      }
-    }
-    return true;
-  }
+  if (drr_work_pending(&wake_at)) return true;
   if (wake_at != 0) nic_.wake_core_at(core, wake_at);
   return false;
 }
@@ -1675,15 +1645,17 @@ void Runtime::spawn_drr_core() {
   }
 }
 
-bool Runtime::drr_work_pending() const {
+bool Runtime::drr_work_pending(Ns* wake_at) const {
+  const Ns now = sim_.now();
   for (const ActorId id : drr_queue_) {
     const auto* ac = control(id);
     if (ac == nullptr || ac->killed || ac->mailbox.empty()) continue;
-    if (const TenantState* t = tenant(ac->tenant);
-        t != nullptr && (t->quarantined || t->throttled(sim_.now()))) {
-      continue;
+    const TenantState* t = tenant(ac->tenant);
+    if (t == nullptr || !t->parked(now)) return true;
+    if (wake_at != nullptr && !t->quarantined &&
+        (*wake_at == 0 || t->throttled_until < *wake_at)) {
+      *wake_at = t->throttled_until;
     }
-    return true;
   }
   return false;
 }
@@ -1713,18 +1685,10 @@ void Runtime::wake_drr_cores() {
   }
 }
 
-unsigned Runtime::fcfs_cores() const noexcept {
+unsigned Runtime::cores_in(CoreRole role) const noexcept {
   unsigned n = 0;
   for (unsigned i = 0; i < nic_.active_cores() && i < roles_.size(); ++i) {
-    if (roles_[i] == CoreRole::kFcfs) ++n;
-  }
-  return n;
-}
-
-unsigned Runtime::drr_cores() const noexcept {
-  unsigned n = 0;
-  for (unsigned i = 0; i < nic_.active_cores() && i < roles_.size(); ++i) {
-    if (roles_[i] == CoreRole::kDrr) ++n;
+    if (roles_[i] == role) ++n;
   }
   return n;
 }
@@ -1753,19 +1717,7 @@ bool Runtime::host_run_once(hostsim::HostExecContext& ctx, unsigned core) {
       auto pkt = msg->to_packet(pool_);
       ctx.charge_rx(pkt->frame_size);
       pkt->nic_arrival = sim_.now();
-      ActorControl* ac = control(pkt->dst_actor);
-      if (ac == nullptr || ac->killed) return true;  // dropped
-      if (buffering(*ac)) {
-        ac->mig_buffer.push_back(std::move(pkt));
-        return true;
-      }
-      if (ac->loc == ActorLoc::kNic) {
-        // Stale: bounce back to the NIC (reliably — a full ring must not
-        // eat the request).
-        ctx.charge(send_or_queue(MemSide::kHost, ChannelMsg::from_packet(*pkt)));
-        return true;
-      }
-      execute_on_host(ctx, *ac, std::move(pkt));
+      serve_on_host(ctx, std::move(pkt), /*police=*/false);
       return true;
     }
     ctx.charge(cfg_.channel_handling_ns);
@@ -1775,38 +1727,10 @@ bool Runtime::host_run_once(hostsim::HostExecContext& ctx, unsigned core) {
   // Wire traffic that bypassed the NIC cores (off-path / overflow path).
   if (auto pkt = host_.rx_pop()) {
     ctx.charge_rx(pkt->frame_size);
-    ActorControl* ac = control(pkt->dst_actor);
-    if (ac == nullptr || ac->killed) return true;
     // Degraded mode: with the NIC (and its TM classifier) dead, the VF
-    // ingress budgets are re-applied here — a tenant must not get free
+    // ingress checks are re-applied here — a tenant must not get free
     // line-rate access just because the policer's usual home crashed.
-    if ((nic_down_ || evacuated_) && ac->tenant != kNoTenant) {
-      if (TenantState* t = tenant(ac->tenant); t != nullptr) {
-        const Ns now = sim_.now();
-        if (t->quarantined || t->throttled(now)) {
-          ++t->stats.throttle_drops;
-          ++degraded_drops_;
-          return true;
-        }
-        if (!t->ingress_admit(pkt->frame_size, now)) {
-          ++t->stats.policer_drops;
-          t->note_violation(now);
-          ++degraded_drops_;
-          return true;
-        }
-        ++t->stats.admitted_packets;
-        t->stats.admitted_bytes += pkt->frame_size;
-      }
-    }
-    if (buffering(*ac)) {
-      ac->mig_buffer.push_back(std::move(pkt));
-      return true;
-    }
-    if (ac->loc == ActorLoc::kNic) {
-      ctx.charge(send_or_queue(MemSide::kHost, ChannelMsg::from_packet(*pkt)));
-      return true;
-    }
-    execute_on_host(ctx, *ac, std::move(pkt));
+    serve_on_host(ctx, std::move(pkt), /*police=*/nic_down_ || evacuated_);
     return true;
   }
 
@@ -1814,21 +1738,46 @@ bool Runtime::host_run_once(hostsim::HostExecContext& ctx, unsigned core) {
   if (!host_local_queue_.empty()) {
     auto pkt = std::move(host_local_queue_.front());
     host_local_queue_.pop_front();
-    ActorControl* ac = control(pkt->dst_actor);
-    if (ac == nullptr || ac->killed) return true;
-    if (buffering(*ac)) {
-      ac->mig_buffer.push_back(std::move(pkt));
-      return true;
-    }
-    if (ac->loc == ActorLoc::kHost) {
-      execute_on_host(ctx, *ac, std::move(pkt));
-    } else {
-      ctx.charge(send_or_queue(MemSide::kHost, ChannelMsg::from_packet(*pkt)));
-    }
+    serve_on_host(ctx, std::move(pkt), /*police=*/false);
     return true;
   }
 
   return false;
+}
+
+ActorControl* Runtime::triage(ActorId dst, netsim::PacketPtr& pkt, MemSide at,
+                              bool police, Ns& cost) {
+  ActorControl* ac = control(dst);
+  if (ac == nullptr || ac->killed) return nullptr;  // dropped
+  if (police) {
+    if (TenantState* t = tenant(ac->tenant);
+        t != nullptr && !t->admit(*pkt, local_hop(*pkt), sim_.now())) {
+      ++degraded_drops_;
+      return nullptr;
+    }
+  }
+  if (buffering(*ac)) {
+    ac->mig_buffer.push_back(std::move(pkt));
+    return nullptr;
+  }
+  if (side_of(*ac) != at) {
+    // Crossing PCIe (a stale host arrival bouncing back to the NIC, or a
+    // same-node send to the other side) goes through the reliable
+    // channel: a full ring must not eat the message.
+    cost += send_or_queue(at, ChannelMsg::from_packet(*pkt));
+    return nullptr;
+  }
+  return ac;
+}
+
+void Runtime::serve_on_host(hostsim::HostExecContext& ctx,
+                            netsim::PacketPtr pkt, bool police) {
+  Ns bounce = 0;
+  if (ActorControl* ac =
+          triage(pkt->dst_actor, pkt, MemSide::kHost, police, bounce)) {
+    execute_on_host(ctx, *ac, std::move(pkt));
+  }
+  ctx.charge(bounce);
 }
 
 void Runtime::execute_on_host(hostsim::HostExecContext& ctx, ActorControl& ac,
@@ -1841,45 +1790,22 @@ void Runtime::execute_on_host(hostsim::HostExecContext& ctx, ActorControl& ac,
     ++ac.requests;
     ac.actor->handle(env, *pkt);
   }
-  const Ns exec = ctx.consumed() - before;
-  ac.latency.add(static_cast<double>(queue_delay + exec));
-  ac.exec_cost.add(static_cast<double>(exec));
-  response_hist_.add(queue_delay + exec);
-  if (tracer_.enabled()) {
-    tracer_.span(trace::Cat::kExec, "host_handle",
-                 trace::tid::kHostCore0 + ctx.core(), sim_.now() + before,
-                 sim_.now() + ctx.consumed(), ac.id,
-                 {"queue_us", static_cast<double>(queue_delay) / 1000.0});
-  }
   // Host-side watchdog only exists under supervision: without a restart
   // path a host kill would be permanent, which the original runtime
   // never did.
-  if (cfg_.supervise && exec > cfg_.watchdog_limit) {
-    kill_actor(ac.id, /*isolation_trap=*/false);
-  }
+  (void)finish_exec(ac, queue_delay, before, ctx.consumed(), "host_handle",
+                    trace::tid::kHostCore0 + ctx.core(),
+                    /*watchdog=*/cfg_.supervise);
 }
 
 void Runtime::deliver_local(ActorId dst, netsim::PacketPtr msg, MemSide from) {
-  ActorControl* ac = control(dst);
-  if (ac == nullptr || ac->killed) return;
   msg->nic_arrival = sim_.now();
-
-  if (buffering(*ac)) {
-    ac->mig_buffer.push_back(std::move(msg));
-    return;
-  }
-
-  const MemSide target =
-      ac->loc == ActorLoc::kNic ? MemSide::kNic : MemSide::kHost;
-  if (from != target) {
-    // Crossing PCIe: go through the (reliable) message channel.  The
-    // sender's core slice has already retired, so the post cost cannot be
-    // charged — but the message can no longer be silently dropped either.
-    (void)send_or_queue(from, ChannelMsg::from_packet(*msg));
-    return;
-  }
-
-  if (target == MemSide::kNic) {
+  // A crossing's post cost cannot be charged: the sender's core slice has
+  // already retired.
+  Ns uncharged = 0;
+  ActorControl* ac = triage(dst, msg, from, /*police=*/false, uncharged);
+  if (ac == nullptr) return;
+  if (from == MemSide::kNic) {
     if (ac->is_drr) {
       ac->mailbox.push_back(std::move(msg));
       wake_drr_cores();

@@ -8,7 +8,6 @@
 // each one runs.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -40,7 +39,6 @@ struct IPipeConfig {
   Ns mean_thresh = usec(30);
   Ns tail_thresh = usec(80);
   double alpha = 0.25;          ///< hysteresis factor
-  std::size_t q_thresh = 64;    ///< DRR mailbox length migration trigger
   Ns watchdog_limit = msec(1);  ///< DoS timeout (§3.4)
   Ns mgmt_period = usec(20);    ///< management-core bookkeeping cadence
   Ns migration_cooldown = msec(10);  ///< min gap between migrations
@@ -76,38 +74,12 @@ struct IPipeConfig {
   std::uint32_t watchdog_miss_limit = 4;
   Ns watchdog_probe_cap = msec(5);
   /// Emergency evacuation replays DMO payloads from the host mirror
-  /// (crash-consistent: no PCIe transfer possible).  Replay costs
-  /// `evac_replay_ns_per_kb` per KB of payload before evacuated actors
-  /// start serving; without the mirror the NIC-resident bytes are lost
-  /// and objects come back zero-filled.
+  /// (crash-consistent: no PCIe transfer possible) before evacuated
+  /// actors start serving; without the mirror the NIC-resident bytes are
+  /// lost and objects come back zero-filled.
   bool dmo_host_mirror = true;
-  Ns evac_replay_ns_per_kb = 300;
-
-  double nic_ipc = 1.2;   ///< cnMIPS 2-way in-order, achieved IPC
-  double host_ipc = 3.0;  ///< Xeon out-of-order, achieved IPC
-
-  /// Effective NIC->host object-migration bandwidth (Fig. 18 phase 3).
-  double mig_gbps = 7.2;
-  Ns mig_per_object_ns = 2500;  ///< per-object table/allocator work
 
   std::size_t channel_bytes = 1 << 20;
-  std::uint64_t default_region_bytes = 8 * MiB;
-
-  /// Host software fallback slowdown vs the NIC accelerator, per engine
-  /// (§2.2.3: MD5 engine 7.0x, AES 2.5x faster than host).
-  std::array<double, nic::kNumAccelKinds> host_accel_slowdown = {
-      3.0,  // CRC
-      7.0,  // MD5
-      5.0,  // SHA-1
-      4.0,  // 3DES
-      2.5,  // AES
-      4.0,  // KASUMI
-      4.0,  // SMS4
-      4.0,  // SNOW3G
-      0.5,  // FAU: plain atomics are faster on the host
-      2.0,  // ZIP
-      3.0,  // DFA
-  };
 
   /// Fixed framework overheads (Fig. 17): per-message channel handling
   /// and per-DMO-op translation cost, charged wherever they occur.
@@ -115,22 +87,11 @@ struct IPipeConfig {
   Ns dmo_translate_ns = 7;
   Ns sched_bookkeeping_ns = 30;
 
-  /// Reliable-channel tuning: retransmit backoff, NACK latency and the
-  /// pending-queue backpressure cap (see ChannelTuning).
-  ChannelTuning channel_tuning{};
-  /// Extra stall charged to a sender whose direction is backpressured
-  /// (pending queue over cap) — models the producer slowing down.
-  Ns channel_backpressure_stall_ns = 500;
-  /// Fault injection for tests: probability that a pushed frame body is
-  /// corrupted in the ring (0 disables).
-  double channel_fault_rate = 0.0;
-  std::uint64_t channel_fault_seed = 0x5EEDULL;
-
   /// Observability (see common/trace.h).  Off by default: every hook is a
   /// single predicted-false branch, and timestamps are virtual time, so
-  /// enabling tracing never shifts measured latencies either.
+  /// enabling tracing never shifts measured latencies either.  The same
+  /// switch as Runtime::enable_tracing() at the default capacity.
   bool trace = false;
-  std::size_t trace_capacity = trace::Tracer::kDefaultCapacity;
   /// Virtual-time cadence of metrics snapshots (0 disables snapshots).
   Ns trace_metrics_period = usec(500);
 };
@@ -281,7 +242,9 @@ class Runtime {
   void schedule_actor_msg(ActorId id, Ns delay, std::uint16_t type,
                           std::vector<std::uint8_t> payload);
 
-  /// Burst corruption on the PCIe channel (chaos pcie-corrupt hook).
+  /// Burst corruption on the PCIe channel: the probability that a pushed
+  /// frame body is corrupted in the ring, 0 to stop (chaos pcie-corrupt
+  /// hook, and fault injection in tests).
   void set_channel_fault(double rate, std::uint64_t seed = 0x5EEDULL) {
     channel_.set_fault_injection(rate, seed);
   }
@@ -336,14 +299,18 @@ class Runtime {
   [[nodiscard]] const EwmaMeanStd& fcfs_stats() const noexcept {
     return fcfs_stats_;
   }
-  [[nodiscard]] unsigned fcfs_cores() const noexcept;
+  [[nodiscard]] unsigned fcfs_cores() const noexcept {
+    return cores_in(CoreRole::kFcfs);
+  }
   /// Recent FCFS / DRR core-group utilization (auto-scaling inputs).
   [[nodiscard]] double fcfs_util() const noexcept { return fcfs_util_; }
   [[nodiscard]] double drr_util() const noexcept { return drr_util_; }
   [[nodiscard]] std::uint64_t fcfs_samples() const noexcept {
     return fcfs_samples_;
   }
-  [[nodiscard]] unsigned drr_cores() const noexcept;
+  [[nodiscard]] unsigned drr_cores() const noexcept {
+    return cores_in(CoreRole::kDrr);
+  }
   [[nodiscard]] std::uint64_t downgrades() const noexcept { return downgrades_; }
   [[nodiscard]] std::uint64_t upgrades() const noexcept { return upgrades_; }
   [[nodiscard]] std::uint64_t push_migrations() const noexcept {
@@ -397,7 +364,7 @@ class Runtime {
   [[nodiscard]] const trace::MetricsRegistry& metrics() const noexcept {
     return metrics_;
   }
-  /// Turn tracing on after construction (same effect as cfg.trace=true).
+  /// Turn tracing on (the constructor calls this when cfg.trace is set).
   void enable_tracing(std::size_t capacity = trace::Tracer::kDefaultCapacity,
                       Ns metrics_period = usec(500)) {
     tracer_.enable(capacity);
@@ -430,10 +397,11 @@ class Runtime {
   void spawn_drr_core();
   void retire_drr_core();
   /// True when any DRR-group actor still has a non-empty mailbox
-  /// (throttled/quarantined tenants' mailboxes don't count: their work
-  /// is parked, and counting it would busy-spin the DRR cores through
-  /// the whole penalty window).
-  [[nodiscard]] bool drr_work_pending() const;
+  /// (parked tenants' mailboxes don't count: counting them would
+  /// busy-spin the DRR cores through the whole penalty window).  When it
+  /// returns false, a given `*wake_at` (passed in as 0) holds the earliest
+  /// penalty expiry among throttled tenants with parked work, or 0.
+  [[nodiscard]] bool drr_work_pending(Ns* wake_at = nullptr) const;
   /// Tenant accounting hook for env-layer DMO denials (kQuotaExceeded).
   void note_dmo_denied(ActorId id);
 
@@ -451,6 +419,14 @@ class Runtime {
   // NIC-side scheduling (ALG 1 / ALG 2).
   bool fcfs_run(nic::NicExecContext& ctx, unsigned core);
   bool drr_run(nic::NicExecContext& ctx, unsigned core);
+  /// Pop one frame off the traffic manager and dispatch it, charging the
+  /// TM dequeue (or software shuffle) and, for frames from the wire or
+  /// the host, the forwarding path.  False when the TM is empty.
+  bool dequeue_tm(nic::NicExecContext& ctx);
+  /// Intra-node hop: re-enters the NIC without the wire RX/TX tax and
+  /// already passed its VF's ingress checks.
+  [[nodiscard]] bool local_hop(const netsim::Packet& pkt) const noexcept;
+  [[nodiscard]] unsigned cores_in(CoreRole role) const noexcept;
   bool management_run(nic::NicExecContext& ctx);
   /// Supervision pass: restart killed actors whose delay elapsed,
   /// quarantine repeat offenders, decay episode counters of long-healthy
@@ -484,6 +460,24 @@ class Runtime {
                       netsim::PacketPtr pkt);
   void execute_on_host(hostsim::HostExecContext& ctx, ActorControl& ac,
                        netsim::PacketPtr pkt);
+  /// Bookkeeping both sides share after `ac`'s handler ran from `start`
+  /// to `end` of the core slice: latency/exec EWMAs, the response
+  /// histogram, the `span` trace on track `tid`, and (when `watchdog`)
+  /// the watchdog kill.  Returns the response time.
+  Ns finish_exec(ActorControl& ac, Ns queue_delay, Ns start, Ns end,
+                 const char* span, std::uint32_t tid, bool watchdog);
+  /// The one triage of a packet for actor `dst` on this node, now on side
+  /// `at`: drop it when the actor is gone or, with `police`, its VF
+  /// refuses it; buffer it while the actor migrates; send it across PCIe
+  /// when the actor lives on the other side, adding that send's cost to
+  /// `cost`.  Returns the actor when the packet stays on `at` to be
+  /// served, null otherwise.
+  ActorControl* triage(ActorId dst, netsim::PacketPtr& pkt, MemSide at,
+                       bool police, Ns& cost);
+  /// Host arrival paths: triage, then run the handler here.  `police`
+  /// re-applies VF ingress admission (RX ring while the NIC is degraded).
+  void serve_on_host(hostsim::HostExecContext& ctx, netsim::PacketPtr pkt,
+                     bool police);
   /// `consumed_before` is ctx.consumed() when this packet's processing
   /// began — forwarding-path stats record the per-packet delta, not the
   /// cumulative slice time.
@@ -589,7 +583,7 @@ class Runtime {
   std::uint64_t reoffloads_ = 0;
   std::uint64_t accel_fallbacks_ = 0;
   std::uint64_t restart_decays_ = 0;
-  std::uint64_t degraded_drops_ = 0;  ///< host-side VF policer drops
+  std::uint64_t degraded_drops_ = 0;  ///< host-side VF ingress drops
 
   /// Tenant table, indexed by TenantId (slot 0 = the PF, always null).
   std::vector<std::unique_ptr<TenantState>> tenants_;

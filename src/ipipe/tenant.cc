@@ -31,13 +31,33 @@ TenantState::TenantState(TenantId tid, TenantConfig config)
   chan_tokens = static_cast<double>(cfg.chan_burst_bytes);
 }
 
-bool TenantState::ingress_admit(std::uint64_t bytes, Ns now) {
-  if (cfg.ingress_rate_bps <= 0.0) return true;
-  refill(ingress_tokens, ingress_refill_at, cfg.ingress_rate_bps,
-         cfg.ingress_burst_bytes, now);
-  const auto need = static_cast<double>(bytes);
-  if (ingress_tokens < need) return false;
-  ingress_tokens -= need;
+bool TenantState::admit(const netsim::Packet& pkt, bool local_hop, Ns now) {
+  if (!local_hop) {
+    if (parked(now)) {
+      ++(quarantined ? stats.filter_drops : stats.throttle_drops);
+      return false;
+    }
+    if (!cfg.allowed_src.empty() &&
+        std::find(cfg.allowed_src.begin(), cfg.allowed_src.end(), pkt.src) ==
+            cfg.allowed_src.end()) {
+      ++stats.filter_drops;
+      note_violation(now);
+      return false;
+    }
+    if (cfg.ingress_rate_bps > 0.0) {
+      refill(ingress_tokens, ingress_refill_at, cfg.ingress_rate_bps,
+             cfg.ingress_burst_bytes, now);
+      const auto need = static_cast<double>(pkt.frame_size);
+      if (ingress_tokens < need) {
+        ++stats.policer_drops;
+        note_violation(now);
+        return false;
+      }
+      ingress_tokens -= need;
+    }
+  }
+  ++stats.admitted_packets;
+  stats.admitted_bytes += pkt.frame_size;
   return true;
 }
 

@@ -150,10 +150,21 @@ struct TenantState {
   [[nodiscard]] bool throttled(Ns now) const noexcept {
     return now < throttled_until;
   }
+  /// Parked: quarantined, or serving a throttle penalty.  A parked
+  /// tenant's ingress drops at line rate, its DRR actors are not
+  /// scheduled and its killed actors are not restarted.
+  [[nodiscard]] bool parked(Ns now) const noexcept {
+    return quarantined || throttled(now);
+  }
 
-  /// Ingress policer: admit `bytes` at `now`?  (No side effects beyond
-  /// bucket state; the caller records the drop and the violation.)
-  [[nodiscard]] bool ingress_admit(std::uint64_t bytes, Ns now);
+  /// VF ingress admission: the TM classifier's rules, also applied on the
+  /// host while the NIC is down or evacuated.  A local hop already passed
+  /// them when its originating frame arrived and is only counted.
+  /// Otherwise a parked tenant drops the frame (filter_drops when
+  /// quarantined, throttle_drops when throttled), then the source filter
+  /// (filter_drops) and the ingress policer's byte bucket (policer_drops),
+  /// both violations.
+  [[nodiscard]] bool admit(const netsim::Packet& pkt, bool local_hop, Ns now);
 
   /// Charge `bytes` of PCIe channel traffic; returns the sender-side
   /// stall to add when the tenant is over its channel budget (0 when

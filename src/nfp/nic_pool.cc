@@ -60,7 +60,7 @@ class CostMeter final : public StageCtx {
   void do_emit(netsim::PacketPtr pkt) override { pkt.reset(); }
 
  private:
-  static constexpr double kNicIpc = 1.2;  // IPipeConfig default nic_ipc
+  static constexpr double kNicIpc = 1.2;  // ipipe/env.cc kNicIpc
 
   const nic::NicConfig& cfg_;
   nic::AcceleratorBank bank_;

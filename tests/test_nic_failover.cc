@@ -227,6 +227,51 @@ TEST(NicFailover, LongPcieFlapTripsWatchdogThenReoffloads) {
   EXPECT_EQ(actor->bad_reads_, 0u);
 }
 
+TEST(NicFailover, DegradedIngressKeepsTheSourceFilter) {
+  // While the NIC is down its TM classifier is gone and the host's RX
+  // path applies the VF's ingress checks instead.  Those are the
+  // classifier's rules: a frame from a source outside the tenant's
+  // filter is dropped as a filter drop, not served.
+  Cluster cluster;
+  auto& server = cluster.add_server(watchdog_spec());
+  auto chaos = cluster.make_chaos();
+  auto& rt = server.runtime();
+
+  TenantConfig vf;
+  vf.name = "vf";
+  const TenantId tid = rt.create_tenant(vf);
+  auto* actor = new StatefulEcho(16 * 1024);
+  const ActorId id = rt.register_actor(std::unique_ptr<Actor>(actor),
+                                       ActorLoc::kNic, kNoGroup, tid);
+
+  netsim::FaultPlan plan;
+  plan.nic_crash(0, msec(5), msec(40));
+  chaos->execute(plan);
+
+  auto& good = cluster.add_client(10.0, echo_to(0, id), /*seed=*/1);
+  auto& bad = cluster.add_client(10.0, echo_to(0, id), /*seed=*/2);
+  rt.tenant(tid)->cfg.allowed_src = {good.node()};
+  good.enable_retries({.timeout = msec(2), .max_retries = 50,
+                       .backoff = 1.5, .cap = msec(10)});
+  good.start_closed_loop(2, msec(60));
+  // The disallowed source only sends while the NIC is down.
+  cluster.sim().schedule(msec(10),
+                         [&] { bad.start_open_loop(20000.0, msec(30)); });
+  cluster.run_until(msec(100));
+
+  ASSERT_GE(rt.watchdog_trips(), 1u);
+  const TenantStats& st = rt.tenant(tid)->stats;
+  ASSERT_GT(bad.sent(), 0u);
+  EXPECT_EQ(bad.completed(), 0u) << "a filtered source was served";
+  EXPECT_EQ(st.filter_drops, bad.sent());
+  EXPECT_EQ(rt.degraded_drops(), bad.sent());
+  EXPECT_EQ(st.throttle_drops, 0u);
+  // The allowed source kept being served, from the host while degraded.
+  EXPECT_GT(rt.requests_on_host(), 0u);
+  EXPECT_GT(good.completed(), 0u);
+  EXPECT_EQ(good.completed(), good.sent());
+}
+
 // ----------------------------------------------- accelerator-bank faults --
 
 /// Echoes after running its payload through a NIC accelerator engine.
